@@ -16,8 +16,9 @@
 //     against the Coras/Che prediction for the same workload (split
 //     blocks never cache, so the model runs on the cacheable substream
 //     and is scaled by its traffic share).
-//   assignment quality — every sampled request ASSIGNed over the wire
-//     (cluster-aware: longest match -> cluster -> ranking) versus
+//   assignment quality — every sampled request RANKed over the wire
+//     and sent to the ranking's front server (cluster-aware: longest
+//     match -> cluster -> ranking) versus
 //     synth::NaiveAssign (one probe speaks for the whole /24). Reported
 //     as misassignment rate and server load skew; the floor requires the
 //     cluster-aware path to beat the naive baseline.
@@ -95,7 +96,7 @@ int main(int argc, char** argv) {
   }
 
   bench::PrintHeader(
-      "mapping tier + CDN server assignment (RANK/ASSIGN workload)",
+      "mapping tier + CDN server assignment (RANK workload)",
       "clusters, not /24s, are the unit a CDN should assign by: the "
       "network-aware path beats the /24-naive baseline exactly on the "
       "resold blocks, and a small /24 cache absorbs the Zipf head");
@@ -206,8 +207,9 @@ int main(int argc, char** argv) {
   std::printf("  Coras/Che model predicts %.3f for this stream "
               "(observed %.3f)\n", predicted, hit_ratio);
 
-  // Assignment quality: every request ASSIGNed over the wire against the
-  // /24-naive baseline scored on the same stream.
+  // Assignment quality: every request RANKed over the wire (the front of
+  // the ranking is the assignment) against the /24-naive baseline scored
+  // on the same stream.
   server::ServerConfig assign_config;
   assign_config.port = 0;
   assign_config.reactors = 2;
@@ -235,14 +237,14 @@ int main(int argc, char** argv) {
   std::vector<synth::CdnRequest> scored(requests.begin(),
                                         requests.begin() + assign_count);
   for (const synth::CdnRequest& request : scored) {
-    const Result<server::AssignRoundTrip> got =
-        client.value().Assign(0, request.address);
+    const Result<server::RankRoundTrip> got =
+        client.value().Rank(0, request.address);
     if (!got.ok()) {
-      std::fprintf(stderr, "bench_mapping: ASSIGN: %s\n",
-                   got.error().c_str());
+      std::fprintf(stderr, "bench_mapping: RANK: %s\n", got.error().c_str());
       return 1;
     }
-    aware.push_back(got.value().reply.server_id);
+    const std::vector<std::uint16_t>& ranking = got.value().reply.servers;
+    aware.push_back(ranking.empty() ? 0 : ranking.front());
     naive.push_back(synth::NaiveAssign(scenario, request.address));
   }
   daemon.Stop();
@@ -252,7 +254,7 @@ int main(int argc, char** argv) {
   const synth::CdnScore naive_score =
       synth::ScoreAssignments(scenario, scored, naive);
   std::printf("\n  %-34s %8.4f misassigned, load skew %.3f\n",
-              "cluster-aware ASSIGN (wire)", aware_score.misassignment_rate(),
+              "cluster-aware RANK (wire)", aware_score.misassignment_rate(),
               aware_score.load_skew);
   std::printf("  %-34s %8.4f misassigned, load skew %.3f\n",
               "/24-naive baseline", naive_score.misassignment_rate(),

@@ -139,32 +139,9 @@ void ClusterClient::BackoffAndRefresh() {
 }
 
 Result<server::LookupRecord> ClusterClient::Lookup(net::IpAddress address) {
-  base::AssumeThreadRole owner(owner_role_);
-  std::string last_error;
-  for (int attempt = 0; attempt < config_.max_attempts; ++attempt) {
-    const std::uint16_t shard = OwnerOf(address);
-    auto conn = Conn(shard);
-    if (!conn.ok()) {
-      last_error = conn.error();
-      BackoffAndRefresh();
-      continue;
-    }
-    auto reply = conn.value()->ClusterLookup(topo_.epoch, {address});
-    if (!reply.ok()) {
-      last_error = reply.error();
-      BackoffAndRefresh();
-      continue;
-    }
-    if (reply.value().redirect.has_value()) {
-      last_error = "redirected";
-      FollowRedirect(*reply.value().redirect, shard);
-      continue;
-    }
-    return reply.value().result.records.at(0);
-  }
-  return Fail("cluster lookup failed after " +
-              std::to_string(config_.max_attempts) +
-              " attempts: " + last_error);
+  auto records = BatchLookup({address});
+  if (!records.ok()) return Fail(records.error());
+  return records.value().front();
 }
 
 Result<std::vector<server::LookupRecord>> ClusterClient::BatchLookup(
@@ -215,7 +192,7 @@ Result<std::vector<server::LookupRecord>> ClusterClient::BatchLookup(
         // Gather: chunk answers land at their original request indices,
         // so the assembled vector is in request order by construction.
         for (std::size_t j = 0; j < chunk; ++j) {
-          records[group[offset + j]] = reply.value().result.records[j];
+          records[group[offset + j]] = reply.value().records[j];
         }
         offset += chunk;
       }
@@ -227,7 +204,7 @@ Result<std::vector<server::LookupRecord>> ClusterClient::BatchLookup(
               " attempts: " + last_error);
 }
 
-Result<server::AssignReply> ClusterClient::Assign(net::IpAddress address) {
+Result<server::RankReply> ClusterClient::Rank(net::IpAddress address) {
   base::AssumeThreadRole owner(owner_role_);
   std::string last_error;
   for (int attempt = 0; attempt < config_.max_attempts; ++attempt) {
@@ -238,7 +215,7 @@ Result<server::AssignReply> ClusterClient::Assign(net::IpAddress address) {
       BackoffAndRefresh();
       continue;
     }
-    auto reply = conn.value()->Assign(topo_.epoch, address);
+    auto reply = conn.value()->Rank(topo_.epoch, address);
     if (!reply.ok()) {
       last_error = reply.error();
       BackoffAndRefresh();
@@ -251,7 +228,7 @@ Result<server::AssignReply> ClusterClient::Assign(net::IpAddress address) {
     }
     return reply.value().reply;
   }
-  return Fail("cluster assign failed after " +
+  return Fail("cluster rank failed after " +
               std::to_string(config_.max_attempts) +
               " attempts: " + last_error);
 }

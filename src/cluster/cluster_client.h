@@ -1,11 +1,11 @@
 // Fleet-aware client for a sharded netclustd cluster.
 //
 // Wraps one server::Client per node and routes by the epoch-stamped
-// topology (partitioner.h): single lookups go to the owning shard,
-// BatchLookup scatter/gathers across shards and reassembles records in
-// request order, IngestUpdate fans out to every node (the replication
-// path — every node carries the full table, so a rebalance is a metadata
-// flip, not a data copy).
+// topology (partitioner.h): BatchLookup scatter/gathers CLUSTER_LOOKUPs
+// across shards and reassembles records in request order (a single
+// lookup is a batch of one), Rank goes to the owning shard, IngestUpdate
+// fans out to every node (the replication path — every node carries the
+// full table, so a rebalance is a metadata flip, not a data copy).
 //
 // Self-healing routing: a REDIRECT (stale epoch / wrong owner) or a dead
 // connection triggers a topology refresh from any reachable node and a
@@ -80,7 +80,7 @@ class ClusterClient {
   [[nodiscard]] static Result<ClusterClient> Create(
       server::Topology initial, ClusterClientConfig config = {});
 
-  /// Longest-prefix match for one address, routed to the owning shard.
+  /// Longest-prefix match for one address: a BatchLookup of one.
   [[nodiscard]] Result<server::LookupRecord> Lookup(net::IpAddress address);
 
   /// Scatter/gather across shards; records come back in request order and
@@ -94,10 +94,10 @@ class ClusterClient {
   [[nodiscard]] Result<std::uint64_t> IngestUpdate(
       std::uint32_t source_id, const bgp::UpdateMessage& update);
 
-  /// CDN assignment for one address, routed to the owning shard with the
-  /// same redirect-following recovery as Lookup(). The returned reply is
-  /// always a served answer (redirects are resolved internally).
-  [[nodiscard]] Result<server::AssignReply> Assign(net::IpAddress address);
+  /// CDN server ranking for one address, routed to the owning shard with
+  /// the same redirect-following recovery as BatchLookup(). The returned
+  /// reply is always a served answer (redirects are resolved internally).
+  [[nodiscard]] Result<server::RankReply> Rank(net::IpAddress address);
 
   /// Cluster-wide stats rollup over every reachable node; fails only when
   /// no node responds.

@@ -326,13 +326,6 @@ void CheckProtoPayload(const server::Frame& frame) {
   const std::uint8_t* payload = frame.payload.data();
   const std::size_t size = frame.payload.size();
   switch (frame.header.opcode) {
-    case Opcode::kLookup: {
-      const auto req = server::DecodeLookup(payload, size);
-      if (!req.ok()) return;
-      NETCLUST_FUZZ_ASSERT(server::EncodeLookup(req.value()) == frame.payload,
-                           "LOOKUP payload round trip changed bytes");
-      return;
-    }
     case Opcode::kBatchLookup: {
       const auto req = server::DecodeBatchLookup(payload, size);
       if (!req.ok()) return;
@@ -354,25 +347,18 @@ void CheckProtoPayload(const server::Frame& frame) {
                            "INGEST encoding is not a one-step fixed point");
       return;
     }
-    case Opcode::kLookupResult: {
-      const auto record = server::DecodeLookupRecord(payload, size);
-      if (!record.ok()) return;
-      NETCLUST_FUZZ_ASSERT(
-          server::EncodeLookupRecord(record.value()) == frame.payload,
-          "LOOKUP_RESULT record round trip changed bytes");
-      // Match conversion must be lossless both ways.
-      NETCLUST_FUZZ_ASSERT(
-          server::LookupRecord::FromMatch(record.value().ToMatch()) ==
-              record.value(),
-          "LookupRecord <-> Match conversion is lossy");
-      return;
-    }
     case Opcode::kBatchResult: {
       const auto records = server::DecodeBatchResult(payload, size);
       if (!records.ok()) return;
       NETCLUST_FUZZ_ASSERT(
           server::EncodeBatchResult(records.value()) == frame.payload,
           "BATCH_RESULT payload round trip changed bytes");
+      // Match conversion must be lossless both ways.
+      for (const server::LookupRecord& record : records.value()) {
+        NETCLUST_FUZZ_ASSERT(
+            server::LookupRecord::FromMatch(record.ToMatch()) == record,
+            "LookupRecord <-> Match conversion is lossy");
+      }
       return;
     }
     case Opcode::kIngestAck: {
@@ -391,19 +377,17 @@ void CheckProtoPayload(const server::Frame& frame) {
       return;
     }
     case Opcode::kClusterLookup: {
+      // One lookup grammar: the bytes after the epoch are accepted or
+      // rejected exactly as a BATCH_LOOKUP payload.
       const auto req = server::DecodeClusterLookup(payload, size);
+      NETCLUST_FUZZ_ASSERT(
+          req.ok() == (size >= 8 &&
+                       server::DecodeBatchLookup(payload + 8, size - 8).ok()),
+          "CLUSTER_LOOKUP and BATCH_LOOKUP verdicts disagree after the epoch");
       if (!req.ok()) return;
       NETCLUST_FUZZ_ASSERT(
           server::EncodeClusterLookup(req.value()) == frame.payload,
           "CLUSTER_LOOKUP payload round trip changed bytes");
-      return;
-    }
-    case Opcode::kClusterResult: {
-      const auto result = server::DecodeClusterResult(payload, size);
-      if (!result.ok()) return;
-      NETCLUST_FUZZ_ASSERT(
-          server::EncodeClusterResult(result.value()) == frame.payload,
-          "CLUSTER_RESULT payload round trip changed bytes");
       return;
     }
     case Opcode::kTopology:
@@ -456,21 +440,6 @@ void CheckProtoPayload(const server::Frame& frame) {
       NETCLUST_FUZZ_ASSERT(
           server::EncodeRankReply(reply.value()) == frame.payload,
           "RANK_REPLY payload round trip changed bytes");
-      return;
-    }
-    case Opcode::kAssign: {
-      const auto req = server::DecodeAssign(payload, size);
-      if (!req.ok()) return;
-      NETCLUST_FUZZ_ASSERT(server::EncodeAssign(req.value()) == frame.payload,
-                           "ASSIGN payload round trip changed bytes");
-      return;
-    }
-    case Opcode::kAssignReply: {
-      const auto reply = server::DecodeAssignReply(payload, size);
-      if (!reply.ok()) return;
-      NETCLUST_FUZZ_ASSERT(
-          server::EncodeAssignReply(reply.value()) == frame.payload,
-          "ASSIGN_REPLY payload round trip changed bytes");
       return;
     }
     default:

@@ -321,10 +321,6 @@ int main(int argc, char** argv) {
     WriteBytes(root / "proto" / "seed-ping",
                EncodeFrame(Opcode::kPing, {0xDE, 0xAD, 0xBE, 0xEF}));
     WriteBytes(root / "proto" / "seed-stats", EncodeFrame(Opcode::kStats, {}));
-    WriteBytes(root / "proto" / "seed-lookup",
-               EncodeFrame(Opcode::kLookup,
-                           server::EncodeLookup(
-                               {net::IpAddress(12, 65, 143, 222)})));
     {
       server::BatchLookupRequest batch;
       batch.addresses = {net::IpAddress(10, 0, 1, 7),
@@ -356,9 +352,6 @@ int main(int argc, char** argv) {
       found.kind = bgp::SourceKind::kBgpTable;
       found.origin_as = 7018;
       found.source_mask = 0x5;
-      WriteBytes(root / "proto" / "seed-lookup-result",
-                 EncodeFrame(Opcode::kLookupResult,
-                             server::EncodeLookupRecord(found)));
       WriteBytes(root / "proto" / "seed-batch-result",
                  EncodeFrame(Opcode::kBatchResult,
                              server::EncodeBatchResult(
@@ -412,19 +405,6 @@ int main(int argc, char** argv) {
       WriteBytes(root / "proto" / "seed-cluster-lookup",
                  EncodeFrame(Opcode::kClusterLookup,
                              server::EncodeClusterLookup(req)));
-
-      server::LookupRecord found;
-      found.found = true;
-      found.prefix = net::Prefix::Parse("151.198.192.0/18").value();
-      found.kind = bgp::SourceKind::kBgpTable;
-      found.origin_as = 1742;
-      found.source_mask = 0x1;
-      server::ClusterResult result;
-      result.epoch = 3;
-      result.records = {found, server::LookupRecord{}};
-      WriteBytes(root / "proto" / "seed-cluster-result",
-                 EncodeFrame(Opcode::kClusterResult,
-                             server::EncodeClusterResult(result)));
     }
     WriteBytes(root / "proto" / "seed-redirect",
                EncodeFrame(Opcode::kRedirect,
@@ -456,9 +436,6 @@ int main(int argc, char** argv) {
       WriteBytes(root / "proto" / "seed-rank",
                  EncodeFrame(Opcode::kRank,
                              server::EncodeRank({3, client})));
-      WriteBytes(root / "proto" / "seed-assign",
-                 EncodeFrame(Opcode::kAssign,
-                             server::EncodeAssign({3, client})));
 
       server::RankReply ranking;
       ranking.epoch = 3;
@@ -467,15 +444,6 @@ int main(int argc, char** argv) {
       WriteBytes(root / "proto" / "seed-rank-reply",
                  EncodeFrame(Opcode::kRankReply,
                              server::EncodeRankReply(ranking)));
-
-      server::AssignReply assigned;
-      assigned.epoch = 3;
-      assigned.status = server::AssignStatus::kClusterRanked;
-      assigned.server_id = 2;
-      assigned.cluster_as = 1742;
-      WriteBytes(root / "proto" / "seed-assign-reply",
-                 EncodeFrame(Opcode::kAssignReply,
-                             server::EncodeAssignReply(assigned)));
     }
 
     // Crafted rejects: each pins one framing bound. None may crash, and
@@ -507,18 +475,18 @@ int main(int argc, char** argv) {
       ByteWriter oversized;
       oversized.U16(0x4E43);
       oversized.U8(1);
-      oversized.U8(0x02);
+      oversized.U8(0x03);
       oversized.U32(0x7FFFFFFF);
       WriteBytes(root / "proto" / "seed-oversized-length", oversized.bytes);
 
-      // Truncated: a valid LOOKUP header whose 4-byte payload never
-      // arrives (the decoder must park, not crash or accept).
+      // Truncated: a valid BATCH_LOOKUP header whose 8-byte payload
+      // never arrives (the decoder must park, not crash or accept).
       ByteWriter truncated;
       truncated.U16(0x4E43);
       truncated.U8(1);
-      truncated.U8(0x02);
-      truncated.U32(4);
-      truncated.U8(12);
+      truncated.U8(0x03);
+      truncated.U32(8);
+      truncated.U8(0);
       WriteBytes(root / "proto" / "seed-truncated-payload", truncated.bytes);
 
       // Batch whose count disagrees with its length (payload decoder
@@ -537,29 +505,15 @@ int main(int argc, char** argv) {
       ByteWriter noncanonical;
       noncanonical.U16(0x4E43);
       noncanonical.U8(1);
-      noncanonical.U8(0x82);
-      noncanonical.U32(16);
+      noncanonical.U8(0x83);
+      noncanonical.U32(20);
+      noncanonical.U32(1);  // BATCH_RESULT count: one record
       noncanonical.U32(0);  // found=0, len=0, kind=0, reserved=0
       noncanonical.U32(0);  // network
       noncanonical.U32(7018);  // origin AS must be zero when absent
       noncanonical.U32(0);  // source mask
       WriteBytes(root / "proto" / "seed-noncanonical-absent",
                  noncanonical.bytes);
-
-      // ASSIGN_REPLY claiming "no server" while naming one: violates the
-      // canonical-form rule (server_id must be zero at kNoServer).
-      ByteWriter phantom;
-      phantom.U16(0x4E43);
-      phantom.U8(1);
-      phantom.U8(0x8B);
-      phantom.U32(15);
-      phantom.U32(0);  // epoch hi
-      phantom.U32(3);  // epoch lo
-      phantom.U8(0);   // status kNoServer
-      phantom.U16(7);  // ...but a server id anyway
-      phantom.U32(1742);
-      WriteBytes(root / "proto" / "seed-assign-no-server-lies",
-                 phantom.bytes);
     }
   }
 

@@ -171,11 +171,9 @@ Result<std::vector<std::uint8_t>> Client::Ping(
 }
 
 Result<LookupRecord> Client::Lookup(net::IpAddress address) {
-  auto frame = RoundTrip(Opcode::kLookup, EncodeLookup(LookupRequest{address}),
-                         Opcode::kLookupResult);
-  if (!frame.ok()) return Fail(frame.error());
-  return DecodeLookupRecord(frame.value().payload.data(),
-                            frame.value().payload.size());
+  auto records = BatchLookup({address});
+  if (!records.ok()) return Fail(records.error());
+  return records.value().front();
 }
 
 Result<std::vector<LookupRecord>> Client::BatchLookup(
@@ -227,11 +225,9 @@ Result<std::string> Client::Stats() {
 Result<ClusterLookupReply> Client::ClusterLookup(
     std::uint64_t epoch, const std::vector<net::IpAddress>& addresses) {
   if (addresses.size() > kMaxBatch) return Fail("cluster batch too large");
-  ClusterLookupRequest req;
-  req.epoch = epoch;
-  req.addresses = addresses;
-  auto frame = RoundTrip(Opcode::kClusterLookup, EncodeClusterLookup(req),
-                         Opcode::kClusterResult, Opcode::kRedirect);
+  auto frame = RoundTrip(Opcode::kClusterLookup,
+                         EncodeClusterLookup({epoch, addresses}),
+                         Opcode::kBatchResult, Opcode::kRedirect);
   if (!frame.ok()) return Fail(frame.error());
   ClusterLookupReply reply;
   if (frame.value().header.opcode == Opcode::kRedirect) {
@@ -241,13 +237,13 @@ Result<ClusterLookupReply> Client::ClusterLookup(
     reply.redirect = redirect.value();
     return reply;
   }
-  auto result = DecodeClusterResult(frame.value().payload.data(),
-                                    frame.value().payload.size());
-  if (!result.ok()) return Fail(result.error());
-  if (result.value().records.size() != addresses.size()) {
+  auto records = DecodeBatchResult(frame.value().payload.data(),
+                                   frame.value().payload.size());
+  if (!records.ok()) return Fail(records.error());
+  if (records.value().size() != addresses.size()) {
     return Fail("cluster result count mismatch");
   }
-  reply.result = std::move(result).value();
+  reply.records = std::move(records).value();
   return reply;
 }
 
@@ -268,27 +264,6 @@ Result<RankRoundTrip> Client::Rank(std::uint64_t epoch,
                                frame.value().payload.size());
   if (!reply.ok()) return Fail(reply.error());
   trip.reply = std::move(reply).value();
-  return trip;
-}
-
-Result<AssignRoundTrip> Client::Assign(std::uint64_t epoch,
-                                       net::IpAddress address) {
-  auto frame = RoundTrip(Opcode::kAssign,
-                         EncodeAssign(AssignRequest{epoch, address}),
-                         Opcode::kAssignReply, Opcode::kRedirect);
-  if (!frame.ok()) return Fail(frame.error());
-  AssignRoundTrip trip;
-  if (frame.value().header.opcode == Opcode::kRedirect) {
-    auto redirect = DecodeRedirect(frame.value().payload.data(),
-                                   frame.value().payload.size());
-    if (!redirect.ok()) return Fail(redirect.error());
-    trip.redirect = redirect.value();
-    return trip;
-  }
-  auto reply = DecodeAssignReply(frame.value().payload.data(),
-                                 frame.value().payload.size());
-  if (!reply.ok()) return Fail(reply.error());
-  trip.reply = reply.value();
   return trip;
 }
 

@@ -32,11 +32,11 @@ struct RetryPolicy {
   std::uint64_t max_backoff_us = 50'000;
 };
 
-/// Reply to a CLUSTER_LOOKUP: either the answers or a redirect telling
-/// the caller to refresh its topology and re-route.
+/// Reply to a CLUSTER_LOOKUP: either the answers (in request order) or a
+/// redirect telling the caller to refresh its topology and re-route.
 struct ClusterLookupReply {
   std::optional<RedirectReply> redirect;
-  ClusterResult result;  // meaningful only when !redirect
+  std::vector<LookupRecord> records;  // meaningful only when !redirect
 };
 
 /// Reply to a RANK: the cluster's server ranking, or a redirect (cluster
@@ -44,13 +44,6 @@ struct ClusterLookupReply {
 struct RankRoundTrip {
   std::optional<RedirectReply> redirect;
   RankReply reply;  // meaningful only when !redirect
-};
-
-/// Reply to an ASSIGN: the chosen server, or a redirect (cluster mode
-/// only) telling the caller to refresh its topology and re-route.
-struct AssignRoundTrip {
-  std::optional<RedirectReply> redirect;
-  AssignReply reply;  // meaningful only when !redirect
 };
 
 class Client {
@@ -87,7 +80,7 @@ class Client {
   [[nodiscard]] Result<std::vector<std::uint8_t>> Ping(
       const std::vector<std::uint8_t>& echo = {});
 
-  /// Longest-prefix match for one address.
+  /// Longest-prefix match for one address: a BATCH_LOOKUP of one.
   [[nodiscard]] Result<LookupRecord> Lookup(net::IpAddress address);
 
   /// Batch longest-prefix match; records come back in request order.
@@ -105,9 +98,10 @@ class Client {
   /// Plain-text metrics exposition (server + engine counters).
   [[nodiscard]] Result<std::string> Stats();
 
-  /// Epoch-stamped lookup against a cluster node (up to kMaxBatch
-  /// addresses). A REDIRECT response is a non-error outcome: the reply
-  /// carries it so the caller can refresh routing and retry.
+  /// Epoch-stamped batch lookup (up to kMaxBatch addresses). Cluster
+  /// nodes may answer with a redirect — a non-error outcome the reply
+  /// carries so the caller can refresh routing and retry; standalone
+  /// servers require `epoch` 0.
   [[nodiscard]] Result<ClusterLookupReply> ClusterLookup(
       std::uint64_t epoch, const std::vector<net::IpAddress>& addresses);
 
@@ -120,17 +114,10 @@ class Client {
   /// The node's cluster-stats counter snapshot.
   [[nodiscard]] Result<ClusterStatsRecord> ClusterStats();
 
-  /// Full CDN server ranking for `address`'s cluster. Standalone servers
-  /// require `epoch` 0; cluster nodes may answer with a redirect instead
-  /// (a non-error outcome the caller resolves by refreshing routing).
+  /// Full CDN server ranking for `address`'s cluster (the assignment is
+  /// its front entry). Same epoch/redirect contract as ClusterLookup().
   [[nodiscard]] Result<RankRoundTrip> Rank(std::uint64_t epoch,
                                            net::IpAddress address);
-
-  /// Single-server CDN assignment for `address` — RANK's front entry plus
-  /// a status byte saying whether the cluster ranking or the default was
-  /// used. Same epoch/redirect contract as Rank().
-  [[nodiscard]] Result<AssignRoundTrip> Assign(std::uint64_t epoch,
-                                               net::IpAddress address);
 
   /// BUSY retry schedule for every call on this client.
   void set_retry_policy(const RetryPolicy& policy) { retry_policy_ = policy; }

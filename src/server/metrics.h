@@ -65,7 +65,9 @@ struct ServerMetrics {
   engine::Counter frames_rejected;       // framing/payload violations
   engine::Counter busy_replies;          // explicit backpressure responses
   engine::Counter errors_sent;
-  engine::Counter lookups_served;      // addresses answered (batch expanded)
+  /// Addresses answered by BATCH_LOOKUP and CLUSTER_LOOKUP (batch
+  /// expanded).
+  engine::Counter lookups_served;
   engine::Counter ingests_applied;     // INGEST_UPDATE frames acked
   engine::Counter live_updates;        // UPDATEs absorbed from --live-bgp4mp
   engine::Counter live_batches;        // live-feed bursts published
@@ -74,17 +76,18 @@ struct ServerMetrics {
   engine::Counter stats_served;
   engine::Counter pings_served;
   engine::Counter redirects_sent;          // cluster REDIRECT responses
-  engine::Counter cluster_lookups_served;  // addresses answered via CLUSTER_LOOKUP
+  /// The CLUSTER_LOOKUP share of lookups_served.
+  engine::Counter cluster_lookups_served;
   engine::Counter topology_installs;       // SET_TOPOLOGY frames adopted
   engine::Counter topologies_served;       // TOPOLOGY fetches answered
   engine::Counter cluster_stats_served;    // CLUSTER_STATS frames answered
   engine::Counter ranks_served;            // RANK frames answered
-  engine::Counter assigns_served;          // ASSIGN frames answered
   engine::Counter bytes_read;
   engine::Counter bytes_written;
   /// Frame service time: last payload byte decoded -> response queued on
-  /// the connection (LOOKUP and BATCH_LOOKUP frames only — the serving
-  /// path; wire flush time is the client-side round-trip's share).
+  /// the connection (BATCH_LOOKUP, CLUSTER_LOOKUP and RANK frames only —
+  /// the serving path; wire flush time is the client-side round-trip's
+  /// share).
   engine::LatencyHistogram lookup_service_ns;
 
   /// Live connection count. A gauge, not a Counter: it goes down.
@@ -117,7 +120,6 @@ struct ServerMetrics {
     counter("topologies_served", topologies_served);
     counter("cluster_stats_served", cluster_stats_served);
     counter("ranks_served", ranks_served);
-    counter("assigns_served", assigns_served);
     counter("bytes_read", bytes_read);
     counter("bytes_written", bytes_written);
     // order: relaxed — scrape-style read, same contract as the counters.

@@ -5,7 +5,6 @@ namespace netclust::server {
 bool IsRequestOpcode(Opcode opcode) {
   switch (opcode) {
     case Opcode::kPing:
-    case Opcode::kLookup:
     case Opcode::kBatchLookup:
     case Opcode::kIngestUpdate:
     case Opcode::kStats:
@@ -14,7 +13,6 @@ bool IsRequestOpcode(Opcode opcode) {
     case Opcode::kSetTopology:
     case Opcode::kClusterStats:
     case Opcode::kRank:
-    case Opcode::kAssign:
       return true;
     default:
       return false;
@@ -24,7 +22,6 @@ bool IsRequestOpcode(Opcode opcode) {
 bool IsKnownOpcode(std::uint8_t raw) {
   switch (static_cast<Opcode>(raw)) {
     case Opcode::kPing:
-    case Opcode::kLookup:
     case Opcode::kBatchLookup:
     case Opcode::kIngestUpdate:
     case Opcode::kStats:
@@ -33,18 +30,14 @@ bool IsKnownOpcode(std::uint8_t raw) {
     case Opcode::kSetTopology:
     case Opcode::kClusterStats:
     case Opcode::kRank:
-    case Opcode::kAssign:
     case Opcode::kPong:
-    case Opcode::kLookupResult:
     case Opcode::kBatchResult:
     case Opcode::kIngestAck:
     case Opcode::kStatsText:
-    case Opcode::kClusterResult:
     case Opcode::kTopologyReply:
     case Opcode::kSetTopologyAck:
     case Opcode::kClusterStatsReply:
     case Opcode::kRankReply:
-    case Opcode::kAssignReply:
     case Opcode::kBusy:
     case Opcode::kError:
     case Opcode::kRedirect:
@@ -57,8 +50,6 @@ const char* OpcodeName(Opcode opcode) {
   switch (opcode) {
     case Opcode::kPing:
       return "PING";
-    case Opcode::kLookup:
-      return "LOOKUP";
     case Opcode::kBatchLookup:
       return "BATCH_LOOKUP";
     case Opcode::kIngestUpdate:
@@ -75,20 +66,14 @@ const char* OpcodeName(Opcode opcode) {
       return "CLUSTER_STATS";
     case Opcode::kRank:
       return "RANK";
-    case Opcode::kAssign:
-      return "ASSIGN";
     case Opcode::kPong:
       return "PONG";
-    case Opcode::kLookupResult:
-      return "LOOKUP_RESULT";
     case Opcode::kBatchResult:
       return "BATCH_RESULT";
     case Opcode::kIngestAck:
       return "INGEST_ACK";
     case Opcode::kStatsText:
       return "STATS_TEXT";
-    case Opcode::kClusterResult:
-      return "CLUSTER_RESULT";
     case Opcode::kTopologyReply:
       return "TOPOLOGY_REPLY";
     case Opcode::kSetTopologyAck:
@@ -97,8 +82,6 @@ const char* OpcodeName(Opcode opcode) {
       return "CLUSTER_STATS_REPLY";
     case Opcode::kRankReply:
       return "RANK_REPLY";
-    case Opcode::kAssignReply:
-      return "ASSIGN_REPLY";
     case Opcode::kBusy:
       return "BUSY";
     case Opcode::kError:
@@ -191,18 +174,6 @@ Result<std::optional<FrameView>> FrameDecoder::NextView() {
   if (available < total) return std::optional<FrameView>{};
   consumed_ += total;
   return std::optional<FrameView>{FrameView{header.value(), at + kHeaderSize}};
-}
-
-std::vector<std::uint8_t> EncodeLookup(const LookupRequest& req) {
-  std::vector<std::uint8_t> out;
-  PutU32(&out, req.address.bits());
-  return out;
-}
-
-Result<LookupRequest> DecodeLookup(const std::uint8_t* data,
-                                   std::size_t size) {
-  if (size != 4) return Fail("LOOKUP payload must be exactly 4 bytes");
-  return LookupRequest{net::IpAddress(GetU32(data))};
 }
 
 std::vector<std::uint8_t> EncodeBatchLookup(const BatchLookupRequest& req) {
@@ -298,10 +269,10 @@ std::vector<std::uint8_t> EncodeLookupRecord(const LookupRecord& record) {
 Result<LookupRecord> DecodeLookupRecord(const std::uint8_t* data,
                                         std::size_t size) {
   if (size != kLookupRecordSize) {
-    return Fail("LOOKUP_RESULT record must be exactly 16 bytes");
+    return Fail("lookup record must be exactly 16 bytes");
   }
-  if (data[0] > 1) return Fail("LOOKUP_RESULT found flag must be 0 or 1");
-  if (data[3] != 0) return Fail("LOOKUP_RESULT reserved byte must be zero");
+  if (data[0] > 1) return Fail("lookup record found flag must be 0 or 1");
+  if (data[3] != 0) return Fail("lookup record reserved byte must be zero");
   LookupRecord record;
   record.found = data[0] == 1;
   const std::uint8_t length = data[1];
@@ -313,15 +284,15 @@ Result<LookupRecord> DecodeLookupRecord(const std::uint8_t* data,
     // Canonical absent record: all fields zero, so encode(decode(x)) == x.
     if (length != 0 || kind != 0 || network != 0 || origin_as != 0 ||
         source_mask != 0) {
-      return Fail("absent LOOKUP_RESULT record carries non-zero fields");
+      return Fail("absent lookup record carries non-zero fields");
     }
     return record;
   }
-  if (length > 32) return Fail("LOOKUP_RESULT prefix length exceeds 32");
-  if (kind > 1) return Fail("LOOKUP_RESULT source kind out of range");
+  if (length > 32) return Fail("lookup record prefix length exceeds 32");
+  if (kind > 1) return Fail("lookup record source kind out of range");
   record.prefix = net::Prefix(net::IpAddress(network), length);
   if (record.prefix.network().bits() != network) {
-    return Fail("LOOKUP_RESULT prefix has host bits set");
+    return Fail("lookup record prefix has host bits set");
   }
   record.kind = static_cast<bgp::SourceKind>(kind);
   record.origin_as = origin_as;
@@ -531,62 +502,28 @@ Result<Topology> DecodeTopology(const std::uint8_t* data, std::size_t size) {
 
 std::vector<std::uint8_t> EncodeClusterLookup(const ClusterLookupRequest& req) {
   std::vector<std::uint8_t> out;
-  out.reserve(12 + 4 * req.addresses.size());
   PutU64(&out, req.epoch);
-  PutU32(&out, static_cast<std::uint32_t>(req.addresses.size()));
-  for (const net::IpAddress address : req.addresses) {
-    PutU32(&out, address.bits());
-  }
+  const std::vector<std::uint8_t> batch = EncodeBatchLookup({req.addresses});
+  out.insert(out.end(), batch.begin(), batch.end());
   return out;
 }
 
 Result<ClusterLookupRequest> DecodeClusterLookup(const std::uint8_t* data,
                                                  std::size_t size) {
-  if (size < 12) return Fail("CLUSTER_LOOKUP payload truncated");
   ClusterLookupRequest req;
-  req.epoch = GetU64(data);
-  const std::uint32_t count = GetU32(data + 8);
-  if (count > kMaxBatch) return Fail("CLUSTER_LOOKUP count exceeds bound");
-  if (size != 12 + std::size_t{count} * 4) {
-    return Fail("CLUSTER_LOOKUP length disagrees with its count");
-  }
-  req.addresses.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    req.addresses.emplace_back(GetU32(data + 12 + std::size_t{i} * 4));
-  }
+  auto count = DecodeClusterLookupInto(data, size, &req.epoch, &req.addresses);
+  if (!count.ok()) return Fail(count.error());
   return req;
 }
 
-std::vector<std::uint8_t> EncodeClusterResult(const ClusterResult& result) {
-  std::vector<std::uint8_t> out;
-  out.reserve(12 + kLookupRecordSize * result.records.size());
-  PutU64(&out, result.epoch);
-  PutU32(&out, static_cast<std::uint32_t>(result.records.size()));
-  for (const LookupRecord& record : result.records) {
-    const std::vector<std::uint8_t> encoded = EncodeLookupRecord(record);
-    out.insert(out.end(), encoded.begin(), encoded.end());
-  }
-  return out;
-}
-
-Result<ClusterResult> DecodeClusterResult(const std::uint8_t* data,
-                                          std::size_t size) {
-  if (size < 12) return Fail("CLUSTER_RESULT payload truncated");
-  ClusterResult result;
-  result.epoch = GetU64(data);
-  const std::uint32_t count = GetU32(data + 8);
-  if (count > kMaxBatch) return Fail("CLUSTER_RESULT count exceeds bound");
-  if (size != 12 + std::size_t{count} * kLookupRecordSize) {
-    return Fail("CLUSTER_RESULT length disagrees with its count");
-  }
-  result.records.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    auto record = DecodeLookupRecord(
-        data + 12 + std::size_t{i} * kLookupRecordSize, kLookupRecordSize);
-    if (!record.ok()) return Fail(record.error());
-    result.records.push_back(std::move(record).value());
-  }
-  return result;
+Result<std::size_t> DecodeClusterLookupInto(const std::uint8_t* data,
+                                            std::size_t size,
+                                            std::uint64_t* epoch,
+                                            std::vector<net::IpAddress>* out) {
+  out->clear();
+  if (size < 8) return Fail("CLUSTER_LOOKUP payload truncated");
+  *epoch = GetU64(data);
+  return DecodeBatchLookupInto(data + 8, size - 8, out);
 }
 
 std::vector<std::uint8_t> EncodeRedirect(const RedirectReply& redirect) {
@@ -697,51 +634,6 @@ Result<RankReply> DecodeRankReply(const std::uint8_t* data, std::size_t size) {
   reply.servers.reserve(count);
   for (std::uint16_t i = 0; i < count; ++i) {
     reply.servers.push_back(GetU16(data + 14 + std::size_t{i} * 2));
-  }
-  return reply;
-}
-
-std::vector<std::uint8_t> EncodeAssign(const AssignRequest& req) {
-  std::vector<std::uint8_t> out;
-  out.reserve(12);
-  PutU64(&out, req.epoch);
-  PutU32(&out, req.address.bits());
-  return out;
-}
-
-Result<AssignRequest> DecodeAssign(const std::uint8_t* data,
-                                   std::size_t size) {
-  if (size != 12) return Fail("ASSIGN payload must be exactly 12 bytes");
-  AssignRequest req;
-  req.epoch = GetU64(data);
-  req.address = net::IpAddress(GetU32(data + 8));
-  return req;
-}
-
-std::vector<std::uint8_t> EncodeAssignReply(const AssignReply& reply) {
-  std::vector<std::uint8_t> out;
-  out.reserve(kAssignReplySize);
-  PutU64(&out, reply.epoch);
-  out.push_back(static_cast<std::uint8_t>(reply.status));
-  PutU16(&out, reply.server_id);
-  PutU32(&out, reply.cluster_as);
-  return out;
-}
-
-Result<AssignReply> DecodeAssignReply(const std::uint8_t* data,
-                                      std::size_t size) {
-  if (size != kAssignReplySize) {
-    return Fail("ASSIGN_REPLY payload must be exactly 15 bytes");
-  }
-  const std::uint8_t status = data[8];
-  if (status > 2) return Fail("ASSIGN_REPLY status out of range");
-  AssignReply reply;
-  reply.epoch = GetU64(data);
-  reply.status = static_cast<AssignStatus>(status);
-  reply.server_id = GetU16(data + 9);
-  reply.cluster_as = GetU32(data + 11);
-  if (reply.status == AssignStatus::kNoServer && reply.server_id != 0) {
-    return Fail("ASSIGN_REPLY carries a server id without a ranking");
   }
   return reply;
 }

@@ -11,10 +11,14 @@
 //   3       1     opcode
 //   4       4     payload length (<= kMaxPayload)
 //
-// Requests: PING, LOOKUP, BATCH_LOOKUP, INGEST_UPDATE, STATS, plus the
+// Requests: PING, BATCH_LOOKUP, INGEST_UPDATE, STATS, RANK, plus the
 // cluster-mode family CLUSTER_LOOKUP, TOPOLOGY, SET_TOPOLOGY and
-// CLUSTER_STATS. Responses mirror them (PONG, LOOKUP_RESULT, ...) plus
-// ERROR, BUSY and REDIRECT — BUSY is the explicit backpressure signal
+// CLUSTER_STATS. There is one lookup grammar: a single address is a
+// BATCH_LOOKUP of one, and CLUSTER_LOOKUP is a BATCH_LOOKUP payload
+// behind a u64 topology epoch, answered with the same BATCH_RESULT.
+// Responses are PONG, BATCH_RESULT, INGEST_ACK, STATS_TEXT, RANK_REPLY,
+// TOPOLOGY_REPLY, SET_TOPOLOGY_ACK and CLUSTER_STATS_REPLY, plus ERROR,
+// BUSY and REDIRECT — BUSY is the explicit backpressure signal
 // (connection or in-flight-frame limit hit) and REDIRECT is the
 // routing-staleness signal (the request's topology epoch is not current,
 // or the addressed keys are owned by another shard); both are retryable,
@@ -79,7 +83,6 @@ inline constexpr std::uint32_t kMaxRankServers = 256;
 /// analysis: adding an opcode end-to-end".
 enum class Opcode : std::uint8_t {
   kPing = 0x01,          // stats: pings_served
-  kLookup = 0x02,        // stats: lookups_served
   kBatchLookup = 0x03,   // stats: lookups_served
   kIngestUpdate = 0x04,  // stats: ingests_applied
   kStats = 0x05,         // stats: stats_served
@@ -88,19 +91,15 @@ enum class Opcode : std::uint8_t {
   kSetTopology = 0x08,    // stats: topology_installs
   kClusterStats = 0x09,   // stats: cluster_stats_served
   kRank = 0x0A,           // stats: ranks_served
-  kAssign = 0x0B,         // stats: assigns_served
 
   kPong = 0x81,
-  kLookupResult = 0x82,
   kBatchResult = 0x83,
   kIngestAck = 0x84,
   kStatsText = 0x85,
-  kClusterResult = 0x86,
   kTopologyReply = 0x87,
   kSetTopologyAck = 0x88,
   kClusterStatsReply = 0x89,
   kRankReply = 0x8A,
-  kAssignReply = 0x8B,
   kBusy = 0xE0,
   kError = 0xE1,
   kRedirect = 0xE2,
@@ -190,12 +189,6 @@ class FrameDecoder {
 };
 
 // --- payload codecs ---
-
-struct LookupRequest {
-  net::IpAddress address;
-
-  friend bool operator==(const LookupRequest&, const LookupRequest&) = default;
-};
 
 struct BatchLookupRequest {
   std::vector<net::IpAddress> addresses;  // size <= kMaxBatch
@@ -294,9 +287,10 @@ struct Topology {
 /// (a node that was rebalanced out still serves, but owns nothing).
 [[nodiscard]] int NodeIndexOf(const Topology& topo, std::uint32_t node_id);
 
-/// CLUSTER_LOOKUP: like BATCH_LOOKUP, but stamped with the client's
-/// topology epoch so a stale shard map is detected before any key is
-/// answered by the wrong node.
+/// CLUSTER_LOOKUP: a BATCH_LOOKUP payload behind the client's u64
+/// topology epoch, so a stale shard map is detected before any key is
+/// answered by the wrong node. The answer is a plain BATCH_RESULT (or a
+/// REDIRECT); standalone servers serve it at epoch 0.
 struct ClusterLookupRequest {
   std::uint64_t epoch = 0;
   std::vector<net::IpAddress> addresses;  // size <= kMaxBatch
@@ -305,15 +299,7 @@ struct ClusterLookupRequest {
                          const ClusterLookupRequest&) = default;
 };
 
-/// CLUSTER_RESULT: records in request order, answered under `epoch`.
-struct ClusterResult {
-  std::uint64_t epoch = 0;
-  std::vector<LookupRecord> records;
-
-  friend bool operator==(const ClusterResult&, const ClusterResult&) = default;
-};
-
-/// Why a CLUSTER_LOOKUP was redirected instead of answered.
+/// Why a CLUSTER_LOOKUP or RANK was redirected instead of answered.
 enum class RedirectReason : std::uint8_t {
   kStaleEpoch = 1,  // request epoch != the node's current epoch
   kNotOwner = 2,    // epoch current, but a key belongs to another shard
@@ -370,7 +356,8 @@ struct RankRequest {
 /// RANK_REPLY: the preference-ordered server ids for the client's
 /// cluster. `cluster_as` is the cluster the address resolved to (0 when
 /// the lookup missed and the default ranking applies); `servers` may be
-/// empty when no ranking is installed at all.
+/// empty when no ranking is installed at all. The server a CDN front end
+/// should send the client to is `servers.front()`.
 struct RankReply {
   std::uint64_t epoch = 0;
   std::uint32_t cluster_as = 0;
@@ -378,39 +365,6 @@ struct RankReply {
 
   friend bool operator==(const RankReply&, const RankReply&) = default;
 };
-
-/// ASSIGN: RANK collapsed to one answer — "which server takes this
-/// client". One 15-byte reply instead of a ranking list, for the
-/// request-mapping hot path.
-struct AssignRequest {
-  std::uint64_t epoch = 0;
-  net::IpAddress address;
-
-  friend bool operator==(const AssignRequest&, const AssignRequest&) = default;
-};
-
-/// How an ASSIGN_REPLY's server was chosen.
-enum class AssignStatus : std::uint8_t {
-  kNoServer = 0,        // no ranking installed; server_id must be 0
-  kClusterRanked = 1,   // the client's cluster has its own ranking
-  kDefaultRanking = 2,  // fell back to the table-wide default ranking
-};
-
-/// ASSIGN_REPLY payload: epoch u64, status u8, server_id u16,
-/// cluster_as u32 — exactly 15 bytes.
-struct AssignReply {
-  std::uint64_t epoch = 0;
-  AssignStatus status = AssignStatus::kNoServer;
-  std::uint16_t server_id = 0;
-  std::uint32_t cluster_as = 0;
-
-  friend bool operator==(const AssignReply&, const AssignReply&) = default;
-};
-inline constexpr std::size_t kAssignReplySize = 15;
-
-[[nodiscard]] std::vector<std::uint8_t> EncodeLookup(const LookupRequest& req);
-[[nodiscard]] Result<LookupRequest> DecodeLookup(const std::uint8_t* data,
-                                                 std::size_t size);
 
 [[nodiscard]] std::vector<std::uint8_t> EncodeBatchLookup(
     const BatchLookupRequest& req);
@@ -467,10 +421,12 @@ void AppendBatchResultFrame(const std::optional<bgp::PrefixTable::Match>* matche
 [[nodiscard]] Result<ClusterLookupRequest> DecodeClusterLookup(
     const std::uint8_t* data, std::size_t size);
 
-[[nodiscard]] std::vector<std::uint8_t> EncodeClusterResult(
-    const ClusterResult& result);
-[[nodiscard]] Result<ClusterResult> DecodeClusterResult(
-    const std::uint8_t* data, std::size_t size);
+/// Allocation-free CLUSTER_LOOKUP decode: reads the epoch into `*epoch`
+/// and hands the rest to DecodeBatchLookupInto, so the bytes after the
+/// epoch are accepted or rejected exactly as a BATCH_LOOKUP payload.
+[[nodiscard]] Result<std::size_t> DecodeClusterLookupInto(
+    const std::uint8_t* data, std::size_t size, std::uint64_t* epoch,
+    std::vector<net::IpAddress>* out);
 
 [[nodiscard]] std::vector<std::uint8_t> EncodeRedirect(
     const RedirectReply& redirect);
@@ -494,14 +450,5 @@ void AppendBatchResultFrame(const std::optional<bgp::PrefixTable::Match>* matche
 [[nodiscard]] std::vector<std::uint8_t> EncodeRankReply(const RankReply& reply);
 [[nodiscard]] Result<RankReply> DecodeRankReply(const std::uint8_t* data,
                                                 std::size_t size);
-
-[[nodiscard]] std::vector<std::uint8_t> EncodeAssign(const AssignRequest& req);
-[[nodiscard]] Result<AssignRequest> DecodeAssign(const std::uint8_t* data,
-                                                 std::size_t size);
-
-[[nodiscard]] std::vector<std::uint8_t> EncodeAssignReply(
-    const AssignReply& reply);
-[[nodiscard]] Result<AssignReply> DecodeAssignReply(const std::uint8_t* data,
-                                                    std::size_t size);
 
 }  // namespace netclust::server

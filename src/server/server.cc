@@ -622,9 +622,7 @@ void Server::SweepTimeouts(Reactor& r, std::int64_t now_ms) {
 
 bool Server::AdmitMappingRequest(Reactor& r, Connection* conn,
                                  const char* opcode_name, std::uint64_t epoch,
-                                 net::IpAddress address,
-                                 std::uint64_t* reply_epoch) {
-  *reply_epoch = 0;
+                                 std::span<const net::IpAddress> addresses) {
   if (config_.cluster_node_id < 0) {
     // Standalone: there is no topology epoch to agree on, so a nonzero
     // stamp means the client is confused about the deployment mode.
@@ -643,26 +641,22 @@ bool Server::AdmitMappingRequest(Reactor& r, Connection* conn,
     QueueError(r, conn, ErrorCode::kMalformedPayload, "no topology installed");
     return false;
   }
-  // Same redirect discipline as CLUSTER_LOOKUP: an assignment computed
-  // against a stale shard map could hand the client a server ranked for
-  // somebody else's cluster, so never answer past the epoch fence.
-  if (epoch != topo->topo.epoch || topo->self_index < 0) {
-    metrics_.redirects_sent.Inc();
-    QueueReply(r, conn, Opcode::kRedirect,
-               EncodeRedirect(
-                   RedirectReply{RedirectReason::kStaleEpoch, topo->topo.epoch}));
-    return false;
+  // A redirect is the protocol's "ask again with fresher routing": never
+  // answer past the epoch fence or for blocks this node does not own, or a
+  // mid-rebalance client could read a stale shard (or be handed a server
+  // ranked for somebody else's cluster).
+  const auto owned = [&topo](net::IpAddress address) {
+    return topo->owner[address.bits() >> 16] == topo->self_index;
+  };
+  RedirectReason reason = RedirectReason::kStaleEpoch;
+  if (epoch == topo->topo.epoch && topo->self_index >= 0) {
+    if (std::all_of(addresses.begin(), addresses.end(), owned)) return true;
+    reason = RedirectReason::kNotOwner;
   }
-  if (topo->owner[address.bits() >> 16] !=
-      static_cast<std::uint16_t>(topo->self_index)) {
-    metrics_.redirects_sent.Inc();
-    QueueReply(r, conn, Opcode::kRedirect,
-               EncodeRedirect(
-                   RedirectReply{RedirectReason::kNotOwner, topo->topo.epoch}));
-    return false;
-  }
-  *reply_epoch = topo->topo.epoch;
-  return true;
+  metrics_.redirects_sent.Inc();
+  QueueReply(r, conn, Opcode::kRedirect,
+             EncodeRedirect(RedirectReply{reason, topo->topo.epoch}));
+  return false;
 }
 
 bool Server::DispatchFrame(Reactor& r, Connection* conn,
@@ -701,46 +695,43 @@ bool Server::DispatchFrame(Reactor& r, Connection* conn,
       return true;
     }
 
-    case Opcode::kLookup: {
-      auto req = DecodeLookup(payload, size);
-      if (!req.ok()) {
-        metrics_.frames_rejected.Inc();
-        QueueError(r, conn, ErrorCode::kMalformedPayload, req.error());
-        return true;
-      }
-      const LookupRecord record =
-          LookupRecord::FromMatch(r.mapping->Lookup(req.value().address));
-      QueueReply(r, conn, Opcode::kLookupResult, EncodeLookupRecord(record));
-      metrics_.lookups_served.Inc();
-      r.metrics.lookups_served.Inc();
-      metrics_.lookup_service_ns.Record(engine::NowNs() - start_ns);
-      return true;
-    }
-
-    case Opcode::kBatchLookup: {
+    case Opcode::kBatchLookup:
+    case Opcode::kClusterLookup: {
       // The fast path end-to-end: decode straight out of the frame view
       // into the reactor's reusable address buffer, resolve the whole
       // batch in one engine call (single RCU acquire, prefetched flat
       // directory), and append the complete reply frame directly — no
       // LookupRecord vector, no payload copy, no per-frame allocation
-      // once the scratch buffers are warm.
-      auto count = DecodeBatchLookupInto(payload, size, &r.batch_addrs);
+      // once the scratch buffers are warm. CLUSTER_LOOKUP is the same
+      // payload behind a u64 epoch, admitted by the RANK epoch rule.
+      const bool stamped = frame.header.opcode == Opcode::kClusterLookup;
+      std::uint64_t epoch = 0;
+      auto count = stamped ? DecodeClusterLookupInto(payload, size, &epoch,
+                                                     &r.batch_addrs)
+                           : DecodeBatchLookupInto(payload, size,
+                                                   &r.batch_addrs);
       if (!count.ok()) {
         metrics_.frames_rejected.Inc();
         QueueError(r, conn, ErrorCode::kMalformedPayload, count.error());
         return true;
       }
       const std::size_t batch = count.value();
+      const std::span<const net::IpAddress> addresses(r.batch_addrs.data(),
+                                                      batch);
+      if (stamped &&
+          !AdmitMappingRequest(r, conn, "CLUSTER_LOOKUP", epoch, addresses)) {
+        return true;
+      }
       if (r.batch_matches.size() < batch) r.batch_matches.resize(batch);
       r.mapping->LookupBatch(
-          std::span<const net::IpAddress>(r.batch_addrs.data(), batch),
-          std::span<std::optional<bgp::PrefixTable::Match>>(
-              r.batch_matches.data(), batch));
+          addresses, std::span<std::optional<bgp::PrefixTable::Match>>(
+                         r.batch_matches.data(), batch));
       std::vector<std::uint8_t> wire;
       AppendBatchResultFrame(r.batch_matches.data(), batch, &wire);
       QueueFrame(r, conn, std::move(wire));
       metrics_.lookups_served.Inc(batch);
       r.metrics.lookups_served.Inc(batch);
+      if (stamped) metrics_.cluster_lookups_served.Inc(batch);
       metrics_.lookup_service_ns.Record(engine::NowNs() - start_ns);
       return true;
     }
@@ -808,62 +799,6 @@ bool Server::DispatchFrame(Reactor& r, Connection* conn,
       return true;
     }
 
-    case Opcode::kClusterLookup: {
-      if (config_.cluster_node_id < 0) {
-        metrics_.frames_rejected.Inc();
-        QueueError(r, conn, ErrorCode::kUnsupportedOpcode,
-                   "CLUSTER_LOOKUP requires cluster mode");
-        return true;
-      }
-      auto req = DecodeClusterLookup(payload, size);
-      if (!req.ok()) {
-        metrics_.frames_rejected.Inc();
-        QueueError(r, conn, ErrorCode::kMalformedPayload, req.error());
-        return true;
-      }
-      const auto topo = AcquireTopology();
-      if (topo == nullptr) {
-        metrics_.frames_rejected.Inc();
-        QueueError(r, conn, ErrorCode::kMalformedPayload,
-                   "no topology installed");
-        return true;
-      }
-      // A redirect is the protocol's "ask again with fresher routing":
-      // never answer for blocks this node does not own at the client's
-      // epoch, or a mid-rebalance client could read a stale shard.
-      if (req.value().epoch != topo->topo.epoch || topo->self_index < 0) {
-        metrics_.redirects_sent.Inc();
-        QueueReply(r, conn, Opcode::kRedirect,
-                   EncodeRedirect(RedirectReply{RedirectReason::kStaleEpoch,
-                                                topo->topo.epoch}));
-        return true;
-      }
-      const std::vector<net::IpAddress>& addresses = req.value().addresses;
-      for (const net::IpAddress address : addresses) {
-        if (topo->owner[address.bits() >> 16] !=
-            static_cast<std::uint16_t>(topo->self_index)) {
-          metrics_.redirects_sent.Inc();
-          QueueReply(r, conn, Opcode::kRedirect,
-                     EncodeRedirect(RedirectReply{RedirectReason::kNotOwner,
-                                                  topo->topo.epoch}));
-          return true;
-        }
-      }
-      std::vector<std::optional<bgp::PrefixTable::Match>> matches(
-          addresses.size());
-      r.mapping->LookupBatch(addresses, matches);
-      ClusterResult result;
-      result.epoch = topo->topo.epoch;
-      result.records.reserve(addresses.size());
-      for (const auto& match : matches) {
-        result.records.push_back(LookupRecord::FromMatch(match));
-      }
-      QueueReply(r, conn, Opcode::kClusterResult, EncodeClusterResult(result));
-      metrics_.cluster_lookups_served.Inc(result.records.size());
-      metrics_.lookup_service_ns.Record(engine::NowNs() - start_ns);
-      return true;
-    }
-
     case Opcode::kRank: {
       auto req = DecodeRank(payload, size);
       if (!req.ok()) {
@@ -871,14 +806,13 @@ bool Server::DispatchFrame(Reactor& r, Connection* conn,
         QueueError(r, conn, ErrorCode::kMalformedPayload, req.error());
         return true;
       }
-      std::uint64_t reply_epoch = 0;
       if (!AdmitMappingRequest(r, conn, "RANK", req.value().epoch,
-                               req.value().address, &reply_epoch)) {
+                               {&req.value().address, 1})) {
         return true;
       }
       const auto match = r.mapping->Lookup(req.value().address);
       RankReply reply;
-      reply.epoch = reply_epoch;
+      reply.epoch = req.value().epoch;
       reply.cluster_as = match.has_value() ? match->origin_as : 0;
       if (const mapping::RankTable* table = config_.rank_table.get()) {
         const std::vector<std::uint16_t>* ranking =
@@ -888,41 +822,6 @@ bool Server::DispatchFrame(Reactor& r, Connection* conn,
       }
       QueueReply(r, conn, Opcode::kRankReply, EncodeRankReply(reply));
       metrics_.ranks_served.Inc();
-      metrics_.lookup_service_ns.Record(engine::NowNs() - start_ns);
-      return true;
-    }
-
-    case Opcode::kAssign: {
-      auto req = DecodeAssign(payload, size);
-      if (!req.ok()) {
-        metrics_.frames_rejected.Inc();
-        QueueError(r, conn, ErrorCode::kMalformedPayload, req.error());
-        return true;
-      }
-      std::uint64_t reply_epoch = 0;
-      if (!AdmitMappingRequest(r, conn, "ASSIGN", req.value().epoch,
-                               req.value().address, &reply_epoch)) {
-        return true;
-      }
-      const auto match = r.mapping->Lookup(req.value().address);
-      AssignReply reply;
-      reply.epoch = reply_epoch;
-      reply.status = AssignStatus::kNoServer;
-      reply.server_id = 0;
-      reply.cluster_as = match.has_value() ? match->origin_as : 0;
-      if (const mapping::RankTable* table = config_.rank_table.get()) {
-        const std::vector<std::uint16_t>* ranking =
-            reply.cluster_as != 0 ? table->Ranking(reply.cluster_as) : nullptr;
-        const bool cluster_ranked = ranking != nullptr;
-        if (ranking == nullptr) ranking = &table->default_ranking();
-        if (!ranking->empty()) {
-          reply.status = cluster_ranked ? AssignStatus::kClusterRanked
-                                        : AssignStatus::kDefaultRanking;
-          reply.server_id = ranking->front();
-        }
-      }
-      QueueReply(r, conn, Opcode::kAssignReply, EncodeAssignReply(reply));
-      metrics_.assigns_served.Inc();
       metrics_.lookup_service_ns.Record(engine::NowNs() - start_ns);
       return true;
     }

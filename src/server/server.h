@@ -11,15 +11,16 @@
 //     on the reactor that accepted it, so the data plane takes no locks:
 //     no shared connection map, no EPOLLONESHOT claim CAS, no cross-core
 //     cache-line traffic per frame.
-//   * LOOKUP / BATCH_LOOKUP are answered on the owning reactor via
-//     Engine::Lookup()/LookupBatch() — lock-free reads of the
-//     RCU-published PrefixTable snapshot, never blocking on ingest.
-//     BATCH_LOOKUP is the fast path end-to-end: the frame payload is
-//     decoded straight out of the FrameDecoder's buffer into the
-//     reactor's address vector, one LookupBatch call resolves it, and
-//     the reply frame is appended directly to the connection's outgoing
-//     buffer (AppendBatchResultFrame — no intermediate LookupRecord or
-//     payload vector).
+//   * BATCH_LOOKUP / CLUSTER_LOOKUP are answered on the owning reactor
+//     via Engine::LookupBatch() — lock-free reads of the RCU-published
+//     PrefixTable snapshot, never blocking on ingest. Both take the same
+//     fast path end-to-end (CLUSTER_LOOKUP is a BATCH_LOOKUP behind an
+//     epoch stamp): the frame payload is decoded straight out of the
+//     FrameDecoder's buffer into the reactor's address vector, one
+//     LookupBatch call resolves it, and the BATCH_RESULT frame is
+//     appended directly to the connection's outgoing buffer
+//     (AppendBatchResultFrame — no intermediate LookupRecord or payload
+//     vector).
 //   * Replies are queued on the connection and flushed with writev(2),
 //     coalescing every frame produced by one readable burst into one
 //     syscall. A flush that hits EAGAIN parks the remainder and arms
@@ -55,6 +56,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -104,14 +106,16 @@ struct ServerConfig {
   /// daemon sets this to the number of sources it registered.
   int source_count = 0;
   /// This node's cluster id, or < 0 for standalone mode. Standalone
-  /// servers answer cluster opcodes with an unsupported-opcode ERROR.
+  /// servers serve CLUSTER_LOOKUP and RANK at epoch 0 only and answer
+  /// TOPOLOGY, SET_TOPOLOGY and CLUSTER_STATS with an unsupported-opcode
+  /// ERROR.
   std::int64_t cluster_node_id = -1;
   /// Per-reactor mapping-cache capacity in /24 entries; 0 disables the
   /// tier (lookups go straight to the engine, exactly the pre-tier path).
   std::size_t mapping_cache_capacity = 0;
-  /// CDN server rankings served by RANK/ASSIGN. May be null (no ranking
-  /// installed: RANK answers empty, ASSIGN answers kNoServer). Installed
-  /// before Serve() and immutable afterwards; reactors only read it.
+  /// CDN server rankings served by RANK. May be null (no ranking
+  /// installed: RANK answers an empty list). Installed before Serve() and
+  /// immutable afterwards; reactors only read it.
   std::shared_ptr<const mapping::RankTable> rank_table;
   /// Path to an MRT BGP4MP file replayed as a live churn feed
   /// (netclustd --live-bgp4mp). Empty disables the feeder. The feeder
@@ -241,7 +245,7 @@ class Server {
     std::vector<std::optional<bgp::PrefixTable::Match>> batch_matches
         ONLY_THREAD(role);
     /// The reactor's private mapping cache (client /24 -> lookup answer),
-    /// fronting the engine on the LOOKUP/BATCH_LOOKUP/RANK/ASSIGN paths.
+    /// fronting the engine on the BATCH_LOOKUP/CLUSTER_LOOKUP/RANK paths.
     /// Shared-nothing like everything else here; constructed before spawn
     /// at a quiescent point.
     std::unique_ptr<mapping::MappingTier> mapping ONLY_THREAD(role);
@@ -307,17 +311,15 @@ class Server {
   [[nodiscard]] bool DispatchFrame(Reactor& r, Connection* conn,
                                    const FrameView& frame) REQUIRES(r.role);
 
-  /// Shared RANK/ASSIGN admission: epoch + ownership routing. Standalone
-  /// servers demand a zero epoch and answer with epoch 0; cluster nodes
-  /// apply the CLUSTER_LOOKUP redirect discipline (stale epoch / not
-  /// owner) and stamp the topology epoch into *reply_epoch. Returns true
-  /// when the request may be served; false when the redirect or error
-  /// reply has already been queued.
-  [[nodiscard]] bool AdmitMappingRequest(Reactor& r, Connection* conn,
-                                         const char* opcode_name,
-                                         std::uint64_t epoch,
-                                         net::IpAddress address,
-                                         std::uint64_t* reply_epoch)
+  /// The one epoch rule for CLUSTER_LOOKUP and RANK. Standalone servers
+  /// demand a zero epoch; cluster nodes demand their current epoch and
+  /// ownership of every address (REDIRECT kStaleEpoch / kNotOwner
+  /// otherwise). Returns true when the request may be served — at the
+  /// request's own epoch; false when the redirect or error reply has
+  /// already been queued.
+  [[nodiscard]] bool AdmitMappingRequest(
+      Reactor& r, Connection* conn, const char* opcode_name,
+      std::uint64_t epoch, std::span<const net::IpAddress> addresses)
       REQUIRES(r.role);
 
   /// Appends one encoded reply frame to the connection's queue and bumps

@@ -194,44 +194,6 @@ TEST_F(FleetTest, BatchWithDuplicatesAndEmptyInputKeepsRequestOrder) {
   }
 }
 
-TEST_F(FleetTest, StaleEpochDrawsRedirectNeverAnAnswer) {
-  // Raw wire: a CLUSTER_LOOKUP stamped with a wrong epoch must draw a
-  // REDIRECT even when the keys are owned by the addressed node.
-  Result<server::Client> raw =
-      server::Client::Connect("127.0.0.1", members_[0].port, 2'000);
-  ASSERT_TRUE(raw.ok()) << raw.error();
-
-  const Result<server::ClusterLookupReply> stale =
-      raw.value().ClusterLookup(topo_.epoch + 7, {IpAddress(10, 0, 0, 1)});
-  ASSERT_TRUE(stale.ok()) << stale.error();
-  ASSERT_TRUE(stale.value().redirect.has_value());
-  EXPECT_EQ(stale.value().redirect->reason,
-            server::RedirectReason::kStaleEpoch);
-  EXPECT_EQ(stale.value().redirect->epoch, topo_.epoch);
-
-  // Current epoch but a key owned by another shard: NOT_OWNER.
-  const auto owner = server::CompileOwners(topo_);
-  std::uint32_t foreign_block = 0;
-  while (owner[foreign_block] == 0) ++foreign_block;
-  const IpAddress foreign(foreign_block << 16);
-  const Result<server::ClusterLookupReply> wrong =
-      raw.value().ClusterLookup(topo_.epoch, {foreign});
-  ASSERT_TRUE(wrong.ok()) << wrong.error();
-  ASSERT_TRUE(wrong.value().redirect.has_value());
-  EXPECT_EQ(wrong.value().redirect->reason,
-            server::RedirectReason::kNotOwner);
-
-  // Correctly routed, the same connection answers.
-  std::uint32_t own_block = 0;
-  while (owner[own_block] != 0) ++own_block;
-  const Result<server::ClusterLookupReply> routed =
-      raw.value().ClusterLookup(topo_.epoch, {IpAddress(own_block << 16)});
-  ASSERT_TRUE(routed.ok()) << routed.error();
-  EXPECT_FALSE(routed.value().redirect.has_value());
-  ASSERT_EQ(routed.value().result.records.size(), 1u);
-  EXPECT_GE(servers_[0]->metrics().redirects_sent.value(), 2u);
-}
-
 TEST_F(FleetTest, ReplicatedIngestIsVisibleOnEveryShardWhenAcked) {
   ClusterClient client = MakeClient();
   const IpAddress probe(192, 0, 2, 55);
@@ -276,7 +238,20 @@ TEST_F(FleetTest, StatsRollupSumsCountersAcrossTheFleet) {
   EXPECT_EQ(rollup.value().epoch, topo_.epoch);
   EXPECT_EQ(rollup.value().per_node.size(), 3u);
   // Every probe was served by exactly one shard; the rollup sums them.
-  EXPECT_GE(rollup.value().cluster_lookups_served, probes.size());
+  EXPECT_EQ(rollup.value().cluster_lookups_served, probes.size());
+  // Routed lookups are lookups: the global and per-reactor lookups_served
+  // count them exactly like cluster_lookups_served does.
+  std::uint64_t reactor_lookups = 0;
+  std::uint64_t cluster_lookups = 0;
+  for (const auto& daemon : servers_) {
+    cluster_lookups += daemon->metrics().cluster_lookups_served.value();
+    for (std::size_t i = 0; i < daemon->reactor_count(); ++i) {
+      reactor_lookups += daemon->reactor_metrics(i).lookups_served.value();
+    }
+  }
+  EXPECT_EQ(reactor_lookups, probes.size());
+  EXPECT_EQ(cluster_lookups, probes.size());
+  EXPECT_EQ(rollup.value().lookups_served, probes.size());
   std::uint64_t per_node_sum = 0;
   bool multiple_shards_served = false;
   for (const server::ClusterStatsRecord& node : rollup.value().per_node) {

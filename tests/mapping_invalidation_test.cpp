@@ -1,17 +1,16 @@
 // End-to-end tests for the mapping tier behind a live netclustd: the
-// RANK/ASSIGN dispatch path with a per-reactor cache enabled, and the
-// staleness contract the cache must honor across snapshot publishes.
+// RANK dispatch path with a per-reactor cache enabled, and the staleness
+// contract the cache must honor across snapshot publishes.
 //
 // The acceptance bar from the mapping-tier work:
 //
 //   * an INGEST_UPDATE that moves a client prefix to a different cluster
-//     is visible to the very next ASSIGN — a cached pre-move answer must
+//     is visible to the very next RANK — a cached pre-move answer must
 //     never leak across the epoch flip (plain and under TSan, where a
 //     hammering client races the ingest thread);
-//   * standalone servers reject nonzero RANK/ASSIGN epochs; cluster
-//     nodes answer stale epochs and foreign blocks with REDIRECT, never
-//     with a wrong (or stale) assignment;
-//   * ClusterClient::Assign resolves those redirects transparently.
+//   * ClusterClient::Rank routes across a fleet and resolves redirects
+//     transparently (the epoch rule itself is server_test's
+//     RankAndClusterLookupShareOneEpochRule).
 //
 // Runs in CI's TSan matrix alongside server_test/fleet_test.
 #include <gtest/gtest.h>
@@ -130,7 +129,7 @@ class MappingServerTest : public ::testing::Test {
   int live_source_ = -1;
 };
 
-TEST_F(MappingServerTest, RankAndAssignFollowTheClusterRanking) {
+TEST_F(MappingServerTest, RankFollowsTheClusterRanking) {
   const std::uint16_t port = Serve();
   Client client = ConnectOrDie(port);
 
@@ -144,32 +143,20 @@ TEST_F(MappingServerTest, RankAndAssignFollowTheClusterRanking) {
   EXPECT_EQ(rank.value().reply.servers,
             (std::vector<std::uint16_t>{4, 3}));
 
-  const Result<AssignRoundTrip> assign =
-      client.Assign(0, IpAddress(10, 1, 2, 3));
-  ASSERT_TRUE(assign.ok()) << assign.error();
-  ASSERT_FALSE(assign.value().redirect.has_value());
-  EXPECT_EQ(assign.value().reply.status, AssignStatus::kClusterRanked);
-  EXPECT_EQ(assign.value().reply.server_id, 1);
-  EXPECT_EQ(assign.value().reply.cluster_as, 65000u);
+  const Result<RankRoundTrip> covering =
+      client.Rank(0, IpAddress(10, 1, 2, 3));
+  ASSERT_TRUE(covering.ok()) << covering.error();
+  ASSERT_FALSE(covering.value().redirect.has_value());
+  EXPECT_EQ(covering.value().reply.cluster_as, 65000u);
+  EXPECT_EQ(covering.value().reply.servers.front(), 1);
 
   // A client outside every announced prefix has no cluster: the default
   // ranking answers, and the reply says so.
-  const Result<AssignRoundTrip> unknown =
-      client.Assign(0, IpAddress(192, 0, 2, 55));
+  const Result<RankRoundTrip> unknown =
+      client.Rank(0, IpAddress(192, 0, 2, 55));
   ASSERT_TRUE(unknown.ok()) << unknown.error();
-  EXPECT_EQ(unknown.value().reply.status, AssignStatus::kDefaultRanking);
-  EXPECT_EQ(unknown.value().reply.server_id, 9);
   EXPECT_EQ(unknown.value().reply.cluster_as, 0u);
-}
-
-TEST_F(MappingServerTest, StandaloneRejectsNonzeroEpoch) {
-  const std::uint16_t port = Serve();
-  Client client = ConnectOrDie(port);
-  const Result<RankRoundTrip> rank = client.Rank(7, IpAddress(10, 0, 0, 1));
-  EXPECT_FALSE(rank.ok());
-  const Result<AssignRoundTrip> assign =
-      client.Assign(7, IpAddress(10, 0, 0, 1));
-  EXPECT_FALSE(assign.ok());
+  EXPECT_EQ(unknown.value().reply.servers, (std::vector<std::uint16_t>{9, 8}));
 }
 
 TEST_F(MappingServerTest, NoRankTableMeansNoServer) {
@@ -186,18 +173,12 @@ TEST_F(MappingServerTest, NoRankTableMeansNoServer) {
   ASSERT_TRUE(rank.ok()) << rank.error();
   EXPECT_EQ(rank.value().reply.cluster_as, 65000u);  // lookup still works
   EXPECT_TRUE(rank.value().reply.servers.empty());
-
-  const Result<AssignRoundTrip> assign =
-      client.Assign(0, IpAddress(10, 0, 0, 1));
-  ASSERT_TRUE(assign.ok()) << assign.error();
-  EXPECT_EQ(assign.value().reply.status, AssignStatus::kNoServer);
-  EXPECT_EQ(assign.value().reply.server_id, 0);
 }
 
 // The satellite's core staleness check: ingest moves a /24 from cluster
-// 65001 to 65002, and the very next ASSIGN must see the move — a cached
-// pre-move assignment crossing the epoch flip is the bug under test.
-TEST_F(MappingServerTest, IngestMoveIsVisibleToTheNextAssignNoStaleCache) {
+// 65001 to 65002, and the very next RANK must see the move — a cached
+// pre-move ranking crossing the epoch flip is the bug under test.
+TEST_F(MappingServerTest, IngestMoveIsVisibleToTheNextRankNoStaleCache) {
   const std::uint16_t port = Serve();
   Client client = ConnectOrDie(port);
   const Prefix moving = P("192.0.2.0/24");
@@ -205,23 +186,21 @@ TEST_F(MappingServerTest, IngestMoveIsVisibleToTheNextAssignNoStaleCache) {
   AnnounceLive(client, moving, 65001);
   // Hammer one /24 so the answer is resident in the reactor's cache.
   for (int i = 0; i < 32; ++i) {
-    const Result<AssignRoundTrip> warm =
-        client.Assign(0, IpAddress(192, 0, 2, static_cast<std::uint8_t>(i)));
+    const Result<RankRoundTrip> warm =
+        client.Rank(0, IpAddress(192, 0, 2, static_cast<std::uint8_t>(i)));
     ASSERT_TRUE(warm.ok()) << warm.error();
-    ASSERT_EQ(warm.value().reply.server_id, 5) << "cluster 65001 ranks 5";
+    ASSERT_EQ(warm.value().reply.servers.front(), 5) << "cluster 65001 ranks 5";
   }
   const std::uint64_t flushes_before = TotalInvalidations();
 
   // The move: same prefix, new origin AS. The ack means the snapshot is
-  // published, so no later ASSIGN may answer from the 65001 epoch.
+  // published, so no later RANK may answer from the 65001 epoch.
   AnnounceLive(client, moving, 65002);
-  const Result<AssignRoundTrip> after =
-      client.Assign(0, IpAddress(192, 0, 2, 99));
+  const Result<RankRoundTrip> after = client.Rank(0, IpAddress(192, 0, 2, 99));
   ASSERT_TRUE(after.ok()) << after.error();
   EXPECT_EQ(after.value().reply.cluster_as, 65002u)
       << "stale cluster served across the epoch flip";
-  EXPECT_EQ(after.value().reply.server_id, 6);
-  EXPECT_EQ(after.value().reply.status, AssignStatus::kClusterRanked);
+  EXPECT_EQ(after.value().reply.servers, (std::vector<std::uint16_t>{6}));
   EXPECT_GT(TotalInvalidations(), flushes_before)
       << "the move must have flushed the serving reactor's cache";
 }
@@ -244,10 +223,10 @@ TEST_F(MappingServerTest, DuplicateAnnounceDoesNotFlushWarmCaches) {
 
   // Warm the serving reactor's cache on the /24.
   for (int i = 0; i < 32; ++i) {
-    const Result<AssignRoundTrip> warm = client.Assign(
+    const Result<RankRoundTrip> warm = client.Rank(
         0, IpAddress(198, 51, 100, static_cast<std::uint8_t>(i)));
     ASSERT_TRUE(warm.ok()) << warm.error();
-    ASSERT_EQ(warm.value().reply.server_id, 5) << "cluster 65001 ranks 5";
+    ASSERT_EQ(warm.value().reply.servers.front(), 5) << "cluster 65001 ranks 5";
   }
   const std::uint64_t hits_before = TotalHits();
   const std::uint64_t flushes_before = TotalInvalidations();
@@ -270,20 +249,19 @@ TEST_F(MappingServerTest, DuplicateAnnounceDoesNotFlushWarmCaches) {
 
   EXPECT_EQ(TotalInvalidations(), flushes_before)
       << "an empty delta flushed a mapping cache";
-  const Result<AssignRoundTrip> again =
-      client.Assign(0, IpAddress(198, 51, 100, 7));
+  const Result<RankRoundTrip> again = client.Rank(0, IpAddress(198, 51, 100, 7));
   ASSERT_TRUE(again.ok()) << again.error();
-  EXPECT_EQ(again.value().reply.server_id, 5);
+  EXPECT_EQ(again.value().reply.servers.front(), 5);
   EXPECT_GT(TotalHits(), hits_before)
       << "the warmed entry stopped serving hits after the no-op ingest";
 }
 
-// Same contract with the race made real: reader connections hammer ASSIGN
+// Same contract with the race made real: reader connections hammer RANK
 // on the moving /24 while ingest flips its cluster. Every observed answer
 // must be one of the two legal servers, and each client must see the
 // final cluster once the last flip is acked. TSan runs this file in CI,
 // so the cache's reactor-confinement is checked as well as the answers.
-TEST_F(MappingServerTest, ConcurrentAssignsNeverSeeAnIllegalServer) {
+TEST_F(MappingServerTest, ConcurrentRanksNeverSeeAnIllegalServer) {
   const std::uint16_t port = Serve();
   Client ingest = ConnectOrDie(port);
   const Prefix moving = P("192.0.2.0/24");
@@ -299,11 +277,14 @@ TEST_F(MappingServerTest, ConcurrentAssignsNeverSeeAnIllegalServer) {
       Client client = ConnectOrDie(port);
       std::uint8_t host = static_cast<std::uint8_t>(t);
       while (!stop.load(std::memory_order_relaxed)) {
-        const Result<AssignRoundTrip> got =
-            client.Assign(0, IpAddress(192, 0, 2, host++));
+        const Result<RankRoundTrip> got =
+            client.Rank(0, IpAddress(192, 0, 2, host++));
         if (!got.ok()) continue;  // BUSY under load is legal; retried
-        const std::uint16_t server = got.value().reply.server_id;
-        if (server != 5 && server != 6) illegal.fetch_add(1);
+        const std::vector<std::uint16_t>& servers = got.value().reply.servers;
+        if (servers != std::vector<std::uint16_t>{5} &&
+            servers != std::vector<std::uint16_t>{6}) {
+          illegal.fetch_add(1);
+        }
       }
     });
   }
@@ -314,15 +295,15 @@ TEST_F(MappingServerTest, ConcurrentAssignsNeverSeeAnIllegalServer) {
   stop.store(true);
   for (std::thread& reader : readers) reader.join();
   EXPECT_EQ(illegal.load(), 0)
-      << "an ASSIGN answered with a server neither cluster ranks";
+      << "a RANK answered with a ranking neither cluster has";
 
   // The last flip (65001, flip=23) is acked: the steady state must show.
   Client check = ConnectOrDie(port);
-  const Result<AssignRoundTrip> settled =
-      check.Assign(0, IpAddress(192, 0, 2, 200));
+  const Result<RankRoundTrip> settled =
+      check.Rank(0, IpAddress(192, 0, 2, 200));
   ASSERT_TRUE(settled.ok()) << settled.error();
   EXPECT_EQ(settled.value().reply.cluster_as, 65001u);
-  EXPECT_EQ(settled.value().reply.server_id, 5);
+  EXPECT_EQ(settled.value().reply.servers.front(), 5);
 }
 
 TEST_F(MappingServerTest, ClusterModeWithoutTopologyRejectsMappingOps) {
@@ -332,9 +313,9 @@ TEST_F(MappingServerTest, ClusterModeWithoutTopologyRejectsMappingOps) {
   Client client = ConnectOrDie(port);
   const Result<RankRoundTrip> rank = client.Rank(1, IpAddress(10, 0, 0, 1));
   EXPECT_FALSE(rank.ok());
-  const Result<AssignRoundTrip> assign =
-      client.Assign(1, IpAddress(10, 0, 0, 1));
-  EXPECT_FALSE(assign.ok());
+  const Result<ClusterLookupReply> lookup =
+      client.ClusterLookup(1, {IpAddress(10, 0, 0, 1)});
+  EXPECT_FALSE(lookup.ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -366,7 +347,6 @@ class MappingFleetTest : public ::testing::Test {
     const Result<Topology> topo = cluster::BuildTopology(1, members_, seeded_);
     ASSERT_TRUE(topo.ok()) << topo.error();
     topo_ = topo.value();
-    owners_ = CompileOwners(topo_);
     for (const auto& daemon : servers_) {
       const Result<bool> installed = daemon->SetTopology(topo_);
       ASSERT_TRUE(installed.ok()) << installed.error();
@@ -399,52 +379,9 @@ class MappingFleetTest : public ::testing::Test {
   std::vector<std::unique_ptr<Server>> servers_;
   std::vector<NodeInfo> members_;
   Topology topo_;
-  std::vector<std::uint16_t> owners_;
 };
 
-TEST_F(MappingFleetTest, StaleEpochAndForeignBlockDrawRedirects) {
-  // The partitioner paints all of 10.0.0.0/8 with one owner (a prefix may
-  // not straddle a shard edge), so find that owner rather than assume it.
-  const IpAddress probe(10, 1, 1, 1);
-  const std::size_t owner = owners_[probe.bits() >> 16];
-  ASSERT_LT(owner, static_cast<std::size_t>(kNodes));
-  const std::size_t other = (owner + 1) % kNodes;
-
-  Result<Client> to_owner =
-      Client::Connect("127.0.0.1", members_[owner].port, 2'000);
-  ASSERT_TRUE(to_owner.ok()) << to_owner.error();
-
-  // Stale epoch: redirect carrying the node's current epoch, regardless
-  // of ownership — the client must re-learn routing before any answer.
-  const Result<RankRoundTrip> stale =
-      to_owner.value().Rank(topo_.epoch + 1, probe);
-  ASSERT_TRUE(stale.ok()) << stale.error();
-  ASSERT_TRUE(stale.value().redirect.has_value());
-  EXPECT_EQ(stale.value().redirect->reason, RedirectReason::kStaleEpoch);
-  EXPECT_EQ(stale.value().redirect->epoch, topo_.epoch);
-
-  // Current epoch, but the block belongs to another shard: the non-owner
-  // must not answer (its cache could legally disagree with the owner's).
-  Result<Client> to_other =
-      Client::Connect("127.0.0.1", members_[other].port, 2'000);
-  ASSERT_TRUE(to_other.ok()) << to_other.error();
-  const Result<AssignRoundTrip> not_owner =
-      to_other.value().Assign(topo_.epoch, probe);
-  ASSERT_TRUE(not_owner.ok()) << not_owner.error();
-  ASSERT_TRUE(not_owner.value().redirect.has_value());
-  EXPECT_EQ(not_owner.value().redirect->reason, RedirectReason::kNotOwner);
-
-  // Current epoch, owned block: a real assignment.
-  const Result<AssignRoundTrip> good =
-      to_owner.value().Assign(topo_.epoch, probe);
-  ASSERT_TRUE(good.ok()) << good.error();
-  ASSERT_FALSE(good.value().redirect.has_value());
-  EXPECT_EQ(good.value().reply.epoch, topo_.epoch);
-  EXPECT_EQ(good.value().reply.cluster_as, 65000u);
-  EXPECT_EQ(good.value().reply.server_id, 1);
-}
-
-TEST_F(MappingFleetTest, ClusterClientAssignRoutesAcrossTheFleet) {
+TEST_F(MappingFleetTest, ClusterClientRankRoutesAcrossTheFleet) {
   cluster::ClusterClientConfig config;
   config.timeout_ms = 2'000;
   config.retry_backoff_ms = 1;
@@ -458,21 +395,20 @@ TEST_F(MappingFleetTest, ClusterClientAssignRoutesAcrossTheFleet) {
   for (int i = 0; i < 256; ++i) {
     x = x * 1664525u + 1013904223u;
     const IpAddress probe((10u << 24) | (x & 0x00FFFFFFu));
-    const Result<AssignReply> got = fleet.value().Assign(probe);
+    const Result<RankReply> got = fleet.value().Rank(probe);
     ASSERT_TRUE(got.ok()) << got.error();
     EXPECT_EQ(got.value().cluster_as, 65000u);
-    EXPECT_EQ(got.value().server_id, 1);
-    EXPECT_EQ(got.value().status, AssignStatus::kClusterRanked);
+    EXPECT_EQ(got.value().servers, (std::vector<std::uint16_t>{1, 2}));
     EXPECT_EQ(got.value().epoch, topo_.epoch);
   }
 
   // The /18's clients rank differently from the covering /16's: routing
   // plus longest-match must agree end to end through the fleet.
-  const Result<AssignReply> deep =
-      fleet.value().Assign(IpAddress(151, 198, 200, 40));
+  const Result<RankReply> deep =
+      fleet.value().Rank(IpAddress(151, 198, 200, 40));
   ASSERT_TRUE(deep.ok()) << deep.error();
   EXPECT_EQ(deep.value().cluster_as, 1742u);
-  EXPECT_EQ(deep.value().server_id, 4);
+  EXPECT_EQ(deep.value().servers.front(), 4);
 }
 
 }  // namespace

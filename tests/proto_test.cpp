@@ -83,8 +83,8 @@ TEST(FrameCodec, RejectsBadHeaders) {
 }
 
 TEST(FrameDecoderTest, ReassemblesFramesFedOneByteAtATime) {
-  std::vector<std::uint8_t> stream =
-      EncodeFrame(Opcode::kLookup, EncodeLookup({IpAddress(12, 65, 143, 222)}));
+  std::vector<std::uint8_t> stream = EncodeFrame(
+      Opcode::kBatchLookup, EncodeBatchLookup({{IpAddress(12, 65, 143, 222)}}));
   const auto ping = EncodeFrame(Opcode::kPing, Bytes({0x01}));
   stream.insert(stream.end(), ping.begin(), ping.end());
 
@@ -97,7 +97,7 @@ TEST(FrameDecoderTest, ReassemblesFramesFedOneByteAtATime) {
     if (next.value().has_value()) frames.push_back(*std::move(next).value());
   }
   ASSERT_EQ(frames.size(), 2u);
-  EXPECT_EQ(frames[0].header.opcode, Opcode::kLookup);
+  EXPECT_EQ(frames[0].header.opcode, Opcode::kBatchLookup);
   EXPECT_EQ(frames[1].header.opcode, Opcode::kPing);
   EXPECT_EQ(frames[1].payload, Bytes({0x01}));
   EXPECT_EQ(decoder.buffered(), 0u);
@@ -127,16 +127,6 @@ TEST(FrameDecoderTest, SurfacesProtocolViolations) {
   const auto junk = Bytes({0xFF, 0xFF, 0, 0, 0, 0, 0, 0});
   decoder.Feed(junk.data(), junk.size());
   EXPECT_FALSE(decoder.Next().ok());
-}
-
-TEST(LookupCodec, RoundTripsAndRejectsWrongSize) {
-  const LookupRequest req{IpAddress(198, 32, 8, 1)};
-  const auto bytes = EncodeLookup(req);
-  ASSERT_EQ(bytes.size(), 4u);
-  const auto decoded = DecodeLookup(bytes.data(), bytes.size());
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.value(), req);
-  EXPECT_FALSE(DecodeLookup(bytes.data(), 3).ok());
 }
 
 TEST(BatchLookupCodec, RoundTripsIncludingEmpty) {
@@ -424,30 +414,21 @@ TEST(ClusterLookupCodec, RoundTripsAndBoundsTheCount) {
   PutU32(&overcount, kMaxBatch + 1);
   for (std::uint32_t i = 0; i < kMaxBatch + 1; ++i) PutU32(&overcount, i);
   EXPECT_FALSE(DecodeClusterLookup(overcount.data(), overcount.size()).ok());
-}
 
-TEST(ClusterResultCodec, RoundTripsRecordsUnderTheEpoch) {
-  ClusterResult result;
-  result.epoch = 9;
-  LookupRecord found;
-  found.found = true;
-  found.prefix = P("151.198.192.0/18");
-  found.kind = bgp::SourceKind::kBgpTable;
-  found.origin_as = 1742;
-  found.source_mask = 0x3;
-  result.records = {found, LookupRecord{}};
-  const std::vector<std::uint8_t> wire = EncodeClusterResult(result);
-  ASSERT_EQ(wire.size(), 8u + 4 + 2 * kLookupRecordSize);
-  const auto decoded = DecodeClusterResult(wire.data(), wire.size());
-  ASSERT_TRUE(decoded.ok()) << decoded.error();
-  EXPECT_EQ(decoded.value(), result);
-  EXPECT_EQ(EncodeClusterResult(decoded.value()), wire);
-
-  // Record canonical form is enforced through the embedded decoder: a
-  // miss with a nonzero field is rejected.
-  std::vector<std::uint8_t> tainted = wire;
-  tainted[8 + 4 + kLookupRecordSize + 9] = 1;  // second record, origin byte
-  EXPECT_FALSE(DecodeClusterResult(tainted.data(), tainted.size()).ok());
+  // One lookup grammar: behind the epoch, every one of these inputs is
+  // accepted or rejected exactly as a BATCH_LOOKUP payload.
+  EXPECT_FALSE(DecodeClusterLookup(wire.data(), 7).ok());  // torn epoch
+  for (const std::vector<std::uint8_t>& input :
+       {wire, lying, overcount, std::vector<std::uint8_t>(wire.begin(),
+                                                          wire.begin() + 10),
+        EncodeClusterLookup({3, {}})}) {
+    const auto cluster = DecodeClusterLookup(input.data(), input.size());
+    const auto batch = DecodeBatchLookup(input.data() + 8, input.size() - 8);
+    ASSERT_EQ(cluster.ok(), batch.ok());
+    if (cluster.ok()) {
+      EXPECT_EQ(cluster.value().addresses, batch.value().addresses);
+    }
+  }
 }
 
 TEST(RedirectCodec, RoundTripsBothReasonsAndRejectsOthers) {
@@ -519,12 +500,8 @@ TEST(RankCodec, RequestRoundTripsAndRejectsWrongSize) {
   ASSERT_TRUE(decoded.ok()) << decoded.error();
   EXPECT_EQ(decoded.value(), req);
   EXPECT_EQ(EncodeRank(decoded.value()), wire);
-  // ASSIGN shares the 12-byte shape; both are exact-size.
   EXPECT_FALSE(DecodeRank(wire.data(), 11).ok());
-  EXPECT_FALSE(DecodeAssign(wire.data(), 13).ok());
-  const auto assign = DecodeAssign(wire.data(), wire.size());
-  ASSERT_TRUE(assign.ok());
-  EXPECT_EQ(assign.value().address, req.address);
+  EXPECT_FALSE(DecodeRank(wire.data(), 13).ok());
 }
 
 TEST(RankCodec, ReplyRoundTripsIncludingEmptyAndBoundsTheCount) {
@@ -565,47 +542,6 @@ TEST(RankCodec, ReplyRoundTripsIncludingEmptyAndBoundsTheCount) {
   EXPECT_FALSE(DecodeRankReply(overcount.data(), overcount.size()).ok());
 }
 
-TEST(AssignCodec, ReplyRoundTripsEveryStatusAndEnforcesCanonicalForm) {
-  for (const AssignStatus status :
-       {AssignStatus::kNoServer, AssignStatus::kClusterRanked,
-        AssignStatus::kDefaultRanking}) {
-    AssignReply reply;
-    reply.epoch = 3;
-    reply.status = status;
-    reply.server_id = status == AssignStatus::kNoServer ? 0 : 7;
-    reply.cluster_as = 1742;
-    const std::vector<std::uint8_t> wire = EncodeAssignReply(reply);
-    ASSERT_EQ(wire.size(), kAssignReplySize);
-    EXPECT_EQ(wire[8], static_cast<std::uint8_t>(status));
-    const auto decoded = DecodeAssignReply(wire.data(), wire.size());
-    ASSERT_TRUE(decoded.ok()) << decoded.error();
-    EXPECT_EQ(decoded.value(), reply);
-    EXPECT_EQ(EncodeAssignReply(decoded.value()), wire);
-  }
-
-  // Fixed 15-byte record: any other length is rejected.
-  const std::vector<std::uint8_t> wire = EncodeAssignReply(AssignReply{});
-  EXPECT_FALSE(DecodeAssignReply(wire.data(), wire.size() - 1).ok());
-  std::vector<std::uint8_t> longer = wire;
-  longer.push_back(0);
-  EXPECT_FALSE(DecodeAssignReply(longer.data(), longer.size()).ok());
-
-  // Unknown status byte is rejected.
-  std::vector<std::uint8_t> bad_status = wire;
-  bad_status[8] = 3;
-  EXPECT_FALSE(DecodeAssignReply(bad_status.data(), bad_status.size()).ok());
-
-  // Canonical rule: kNoServer must carry server_id 0 — a phantom server
-  // under "no server chosen" is a lie, not a representation choice.
-  std::vector<std::uint8_t> phantom;
-  PutU64(&phantom, 3);
-  phantom.push_back(0);  // kNoServer
-  PutU16(&phantom, 7);   // ...yet names a server
-  PutU32(&phantom, 1742);
-  ASSERT_EQ(phantom.size(), kAssignReplySize);
-  EXPECT_FALSE(DecodeAssignReply(phantom.data(), phantom.size()).ok());
-}
-
 TEST(FrameDecoderViews, NextViewMatchesNextByteForByte) {
   // NextView() is the reactor fast path: same frames, zero copies. Drive
   // two decoders with the identical byte stream in awkward chunk sizes
@@ -615,8 +551,8 @@ TEST(FrameDecoderViews, NextViewMatchesNextByteForByte) {
     stream.insert(stream.end(), wire.begin(), wire.end());
   };
   append(EncodeFrame(Opcode::kPing, {1, 2, 3}));
-  append(EncodeFrame(Opcode::kLookup,
-                     EncodeLookup({IpAddress(151, 198, 200, 40)})));
+  append(EncodeFrame(Opcode::kRank,
+                     EncodeRank({0, IpAddress(151, 198, 200, 40)})));
   BatchLookupRequest batch;
   batch.addresses = {IpAddress(10, 0, 0, 1), IpAddress(192, 0, 2, 9)};
   append(EncodeFrame(Opcode::kBatchLookup, EncodeBatchLookup(batch)));
@@ -742,11 +678,16 @@ TEST(ClusterOpcodes, AreKnownAndClassified) {
     EXPECT_TRUE(IsRequestOpcode(request));
   }
   for (const Opcode response :
-       {Opcode::kClusterResult, Opcode::kTopologyReply,
+       {Opcode::kTopologyReply,
         Opcode::kSetTopologyAck, Opcode::kClusterStatsReply,
         Opcode::kRedirect}) {
     EXPECT_TRUE(IsKnownOpcode(static_cast<std::uint8_t>(response)));
     EXPECT_FALSE(IsRequestOpcode(response));
+  }
+  // Retired with the single lookup grammar: LOOKUP, ASSIGN and their
+  // LOOKUP_RESULT / ASSIGN_REPLY, plus CLUSTER_RESULT.
+  for (const std::uint8_t retired : {0x02, 0x0B, 0x82, 0x86, 0x8B}) {
+    EXPECT_FALSE(IsKnownOpcode(retired)) << static_cast<int>(retired);
   }
 }
 

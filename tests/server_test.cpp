@@ -381,8 +381,8 @@ TEST(ClientBusyRetry, AbsorbsBusyRepliesAndSucceedsOnTheSameConnection) {
       }
       const std::vector<std::uint8_t> reply =
           frame < 2 ? EncodeFrame(Opcode::kBusy, {})
-                    : EncodeFrame(Opcode::kLookupResult,
-                                  EncodeLookupRecord(LookupRecord{}));
+                    : EncodeFrame(Opcode::kBatchResult,
+                                  EncodeBatchResult({LookupRecord{}}));
       if (!WriteFull(conn, reply.data(), reply.size(), 2'000).ok()) break;
       if (frame >= 2) break;
     }
@@ -682,11 +682,11 @@ TEST_F(ServerTest, BackpressureIsPerReactorNotGlobal) {
 
   // Reactor 1 must be unaffected: a single-attempt lookup (no BUSY
   // retries) succeeds while its sibling is saturated.
-  const auto lookup_wire =
-      EncodeFrame(Opcode::kLookup, EncodeLookup({IpAddress(10, 0, 0, 1)}));
+  const auto lookup_wire = EncodeFrame(
+      Opcode::kBatchLookup, EncodeBatchLookup({{IpAddress(10, 0, 0, 1)}}));
   const Result<Frame> reply = RoundTripRaw(on_b, lookup_wire);
   ASSERT_TRUE(reply.ok()) << reply.error();
-  EXPECT_EQ(reply.value().header.opcode, Opcode::kLookupResult)
+  EXPECT_EQ(reply.value().header.opcode, Opcode::kBatchResult)
       << "reactor 1 answered " << OpcodeName(reply.value().header.opcode)
       << " while reactor 0 was flooded — backpressure leaked across "
          "reactors";
@@ -712,8 +712,8 @@ TEST_F(ServerTest, StopDrainsMidPipelineWithWholeFramesThenEof) {
   // Pipeline 100 lookups, read back only the first 10 replies, then pull
   // the plug. The drain contract: whatever else arrives is whole frames,
   // then a clean EOF — never a torn frame.
-  const auto wire =
-      EncodeFrame(Opcode::kLookup, EncodeLookup({IpAddress(10, 0, 0, 1)}));
+  const auto wire = EncodeFrame(
+      Opcode::kBatchLookup, EncodeBatchLookup({{IpAddress(10, 0, 0, 1)}}));
   std::vector<std::uint8_t> burst;
   for (int i = 0; i < 100; ++i) {
     burst.insert(burst.end(), wire.begin(), wire.end());
@@ -732,7 +732,7 @@ TEST_F(ServerTest, StopDrainsMidPipelineWithWholeFramesThenEof) {
       auto frame = decoder.Next();
       ASSERT_TRUE(frame.ok()) << frame.error();
       if (!frame.value().has_value()) break;
-      EXPECT_EQ(frame.value()->header.opcode, Opcode::kLookupResult);
+      EXPECT_EQ(frame.value()->header.opcode, Opcode::kBatchResult);
       ++frames_seen;
     }
   }
@@ -749,7 +749,7 @@ TEST_F(ServerTest, StopDrainsMidPipelineWithWholeFramesThenEof) {
       auto frame = decoder.Next();
       ASSERT_TRUE(frame.ok()) << frame.error();
       if (!frame.value().has_value()) break;
-      EXPECT_EQ(frame.value()->header.opcode, Opcode::kLookupResult);
+      EXPECT_EQ(frame.value()->header.opcode, Opcode::kBatchResult);
       ++frames_seen;
     }
   }
@@ -788,6 +788,92 @@ TEST_F(ServerTest, LookupsAreBitIdenticalAcrossReactorCounts) {
                 LookupRecord::FromMatch(engine_->Lookup(probes[i])))
           << "reactors=" << reactors << " diverged at probe " << i;
     }
+    server_->Stop();
+  }
+}
+
+TEST_F(ServerTest, RankAndClusterLookupShareOneEpochRule) {
+  // RANK and CLUSTER_LOOKUP are admitted by the same rule: a standalone
+  // server needs epoch 0; a cluster node needs its current epoch and
+  // ownership of every address. Node 1 below owns the lower half of the
+  // /16 blocks; the upper half belongs to a node 2 that is never dialed.
+  constexpr std::uint64_t kEpoch = 5;
+  const IpAddress owned(10, 1, 2, 3);
+  const IpAddress foreign(151, 198, 200, 40);
+  struct Case {
+    const char* name;
+    bool cluster;
+    std::uint64_t epoch;
+    std::vector<IpAddress> addresses;  // RANK asks for the last one
+    std::optional<Opcode> refusal;     // ERROR or REDIRECT; none = answered
+    std::uint8_t reason;               // the refusal's first payload byte
+  };
+  const auto code = [](auto value) { return static_cast<std::uint8_t>(value); };
+  const Case cases[] = {
+      {"standalone, epoch 0", false, 0,
+       {owned, foreign, IpAddress(192, 0, 2, 55)}, std::nullopt, 0},
+      {"standalone, epoch 7", false, 7, {owned}, Opcode::kError,
+       code(ErrorCode::kMalformedPayload)},
+      {"cluster, stale epoch", true, kEpoch - 1, {owned}, Opcode::kRedirect,
+       code(RedirectReason::kStaleEpoch)},
+      {"cluster, foreign block", true, kEpoch, {owned, foreign},
+       Opcode::kRedirect, code(RedirectReason::kNotOwner)},
+      {"cluster, owned block", true, kEpoch, {owned, IpAddress(10, 9, 9, 9)},
+       std::nullopt, 0},
+  };
+  for (const bool cluster : {false, true}) {
+    ServerConfig config;
+    config.cluster_node_id = cluster ? 1 : -1;
+    const std::uint16_t port = Serve(config);
+    if (cluster) {
+      Topology topo;
+      topo.epoch = kEpoch;
+      topo.nodes = {{1, IpAddress(127, 0, 0, 1), port},
+                    {2, IpAddress(127, 0, 0, 1), 1}};
+      topo.ranges = {{0, kShardBlockCount / 2, 0},
+                     {kShardBlockCount / 2, kShardBlockCount / 2, 1}};
+      ASSERT_TRUE(server_->SetTopology(topo).ok());
+    }
+    const Result<int> fd = ConnectTcp("127.0.0.1", port, 2'000);
+    ASSERT_TRUE(fd.ok()) << fd.error();
+    for (const Case& c : cases) {
+      if (c.cluster != cluster) continue;
+      for (const Opcode opcode : {Opcode::kRank, Opcode::kClusterLookup}) {
+        SCOPED_TRACE(std::string(OpcodeName(opcode)) + ", " + c.name);
+        const Result<Frame> reply = RoundTripRaw(
+            fd.value(),
+            opcode == Opcode::kRank
+                ? EncodeFrame(opcode, EncodeRank({c.epoch, c.addresses.back()}))
+                : EncodeFrame(opcode,
+                              EncodeClusterLookup({c.epoch, c.addresses})));
+        ASSERT_TRUE(reply.ok()) << reply.error();
+        const std::vector<std::uint8_t>& payload = reply.value().payload;
+        if (c.refusal.has_value()) {
+          EXPECT_EQ(reply.value().header.opcode, *c.refusal);
+          ASSERT_FALSE(payload.empty());
+          EXPECT_EQ(payload[0], c.reason);
+          if (*c.refusal == Opcode::kRedirect) {
+            const auto redirect = DecodeRedirect(payload.data(), payload.size());
+            ASSERT_TRUE(redirect.ok()) << redirect.error();
+            EXPECT_EQ(redirect.value().epoch, kEpoch);
+          }
+        } else if (opcode == Opcode::kRank) {
+          ASSERT_EQ(reply.value().header.opcode, Opcode::kRankReply);
+          const auto rank = DecodeRankReply(payload.data(), payload.size());
+          ASSERT_TRUE(rank.ok()) << rank.error();
+          EXPECT_EQ(rank.value().epoch, c.epoch);
+        } else {
+          // An admitted CLUSTER_LOOKUP is answered byte for byte like a
+          // BATCH_LOOKUP of the same addresses.
+          const Result<Frame> batch = RoundTripRaw(
+              fd.value(), EncodeFrame(Opcode::kBatchLookup,
+                                      EncodeBatchLookup({c.addresses})));
+          ASSERT_TRUE(batch.ok()) << batch.error();
+          EXPECT_EQ(reply.value(), batch.value());
+        }
+      }
+    }
+    CloseFd(fd.value());
     server_->Stop();
   }
 }

@@ -83,25 +83,14 @@ void Worker(const Options& options, int index, std::size_t budget,
       std::size_t matched = 0;
       std::string error;
       if (options.assign_mode) {
-        auto reply = conn.Assign(0, batch[0]);
+        auto reply = conn.Rank(0, batch[0]);
         if (!reply.ok()) {
           error = reply.error();
         } else if (reply.value().redirect.has_value()) {
-          error = "unexpected REDIRECT from a standalone ASSIGN";
+          error = "unexpected REDIRECT from a standalone RANK";
         } else {
           answered = 1;
-          matched = reply.value().reply.status !=
-                            server::AssignStatus::kNoServer
-                        ? 1
-                        : 0;
-        }
-      } else if (options.batch_size == 1) {
-        auto record = conn.Lookup(batch[0]);
-        if (record.ok()) {
-          answered = 1;
-          matched = record.value().found ? 1 : 0;
-        } else {
-          error = record.error();
+          matched = reply.value().reply.servers.empty() ? 0 : 1;
         }
       } else {
         auto records = conn.BatchLookup(batch);
@@ -276,15 +265,8 @@ void PipelinedWorker(const Options& options, int index, std::size_t budget,
     }
     InflightFrame frame;
     frame.batch = batch.size();
-    if (options.batch_size == 1) {
-      frame.wire = server::EncodeFrame(server::Opcode::kLookup,
-                                       server::EncodeLookup({batch[0]}));
-    } else {
-      server::BatchLookupRequest request;
-      request.addresses = batch;
-      frame.wire = server::EncodeFrame(server::Opcode::kBatchLookup,
-                                       server::EncodeBatchLookup(request));
-    }
+    frame.wire = server::EncodeFrame(server::Opcode::kBatchLookup,
+                                     server::EncodeBatchLookup({batch}));
     return frame;
   };
 
@@ -296,20 +278,6 @@ void PipelinedWorker(const Options& options, int index, std::size_t budget,
     const std::uint8_t* payload = view.payload;
     const std::size_t size = view.header.payload_size;
     switch (view.header.opcode) {
-      case server::Opcode::kLookupResult: {
-        if (frame.batch != 1 || size != server::kLookupRecordSize) {
-          state->RecordError("pipelined reply shape mismatch (LOOKUP_RESULT)");
-          failed = true;
-          return;
-        }
-        state->latency.Record(engine::NowNs() - frame.sent_ns);
-        // order: relaxed — per-worker stats, read after the joins.
-        state->frames.fetch_add(1, std::memory_order_relaxed);
-        state->lookups.fetch_add(1, std::memory_order_relaxed);
-        if (payload[0] != 0) state->found.fetch_add(1, std::memory_order_relaxed);
-        ++done;
-        return;
-      }
       case server::Opcode::kBatchResult: {
         // BATCH_RESULT: u32 count, then `count` 16-byte records whose
         // first byte is the found flag.
@@ -457,21 +425,12 @@ void ClusterWorker(const Options& options, const server::Topology& topo,
     std::size_t matched = 0;
     std::string error;
     if (options.assign_mode) {
-      auto reply = fleet.Assign(batch[0]);
+      auto reply = fleet.Rank(batch[0]);
       if (reply.ok()) {
         answered = 1;
-        matched =
-            reply.value().status != server::AssignStatus::kNoServer ? 1 : 0;
+        matched = reply.value().servers.empty() ? 0 : 1;
       } else {
         error = reply.error();
-      }
-    } else if (options.batch_size == 1) {
-      auto record = fleet.Lookup(batch[0]);
-      if (record.ok()) {
-        answered = 1;
-        matched = record.value().found ? 1 : 0;
-      } else {
-        error = record.error();
       }
     } else {
       auto records = fleet.BatchLookup(batch);
@@ -535,7 +494,7 @@ Result<Report> Run(const Options& options) {
   }
   if (options.assign_mode &&
       (options.batch_size != 1 || options.pipeline != 1)) {
-    return Fail("assign mode sends one ASSIGN per frame (batch 1, no pipeline)");
+    return Fail("assign mode sends one RANK per frame (batch 1, no pipeline)");
   }
   if (options.churn_mode &&
       (options.batch_size != 1 || options.pipeline != 1 ||

@@ -2,7 +2,7 @@
 //
 // Replays a stream of client IP addresses — taken from a CLF web log (the
 // paper's input artifact) or synthesized deterministically — against a
-// running daemon as LOOKUP / BATCH_LOOKUP frames over N concurrent
+// running daemon as BATCH_LOOKUP frames over N concurrent
 // connections, measuring round-trip latency into the engine's fixed-bucket
 // histogram. Lives in a small library so bench_server_latency can drive
 // the exact same traffic in-process; the `loadgen` binary is a thin CLI
@@ -25,7 +25,7 @@ struct Options {
   int connections = 1;
   /// Total request frames across all connections.
   std::size_t total_frames = 10'000;
-  /// Addresses per frame: 1 sends LOOKUP, >1 sends BATCH_LOOKUP.
+  /// Addresses per BATCH_LOOKUP frame (1 is a single-address lookup).
   std::size_t batch_size = 1;
   /// Request frames kept in flight per connection. 1 round-trips each
   /// frame (one request, wait, one response); >1 pipelines: the worker
@@ -45,7 +45,7 @@ struct Options {
   /// server-side mapping cache earn its hit ratio. 0 leaves the stream
   /// untouched.
   double zipf_s = 0.0;
-  /// CDN assignment mode: send ASSIGN instead of LOOKUP (epoch 0
+  /// CDN assignment mode: send RANK instead of BATCH_LOOKUP (epoch 0
   /// standalone, topology epoch in fleet mode). Requires batch_size 1 and
   /// no pipelining; `found` counts replies that named a server.
   bool assign_mode = false;

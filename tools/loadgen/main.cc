@@ -34,13 +34,13 @@ void Usage(const char* argv0) {
       "  --synth-count N      how many synthetic addresses (default 4096)\n"
       "  --count N            total request frames (default 10000)\n"
       "  --connections N      concurrent connections (default 1)\n"
-      "  --batch N            addresses per frame; >1 uses BATCH_LOOKUP\n"
+      "  --batch N            addresses per BATCH_LOOKUP frame (default 1)\n"
       "  --pipeline N         frames in flight per connection (default 1;\n"
       "                       >1 pipelines — standalone mode only)\n"
       "  --zipf S             reshape the stream to Zipf(S) popularity\n"
       "                       (rank = first appearance; 0 = off)\n"
-      "  --assign             send ASSIGN (CDN server selection) instead of\n"
-      "                       LOOKUP; batch 1, no pipelining\n"
+      "  --assign             send RANK (CDN server selection) instead of\n"
+      "                       lookups; batch 1, no pipelining\n"
       "  --churn              send INGEST_UPDATE churn (announce/withdraw\n"
       "                       pairs of /24s from the stream) instead of\n"
       "                       lookups; batch 1, no pipelining, standalone\n"

@@ -4,8 +4,8 @@
 //
 // Owns one engine::Engine, seeds its prefix table from routing-table
 // snapshot files (text or MRT, auto-detected), then serves the binary
-// wire protocol (src/server/proto.h) on loopback: lock-free LOOKUP /
-// BATCH_LOOKUP on N shared-nothing reactors (one epoll + SO_REUSEPORT
+// wire protocol (src/server/proto.h) on loopback: lock-free BATCH_LOOKUP
+// and RANK on N shared-nothing reactors (one epoll + SO_REUSEPORT
 // listener + connection arena each), INGEST_UPDATE through the single
 // ingest thread, STATS and PING. SIGTERM/SIGINT trigger a graceful
 // drain — stop accepting, finish in-flight frames, exit 0.
@@ -59,7 +59,7 @@ void Usage(const char* argv0) {
       "  --mapping-cache N     per-reactor /24 mapping-cache entries\n"
       "                        (default 0 = disabled)\n"
       "  --rank-default LIST   comma-separated server ids installed as the\n"
-      "                        default CDN ranking for RANK/ASSIGN\n"
+      "                        default CDN ranking for RANK\n"
       "  --print-port          print only the bound port on stdout (for scripts)\n"
       "  --cluster-node N      enable cluster mode with this node id\n"
       "  --peer ID:HOST:PORT   fleet member (repeatable, include this node);\n"
@@ -239,7 +239,7 @@ int main(int argc, char** argv) {
 
   if (!rank_default.empty()) {
     // "1,2,3" -> default ranking. Per-cluster rankings arrive via future
-    // tooling; the default makes ASSIGN answer on every daemon today.
+    // tooling; the default gives RANK a server on every daemon today.
     std::vector<std::uint16_t> servers;
     std::size_t start = 0;
     while (start <= rank_default.size()) {
