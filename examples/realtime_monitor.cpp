@@ -54,7 +54,7 @@ int main() {
   const auto feed = vantages.MakeUpdateStream(9 /*OREGON*/, 0, 0, 0, 4);
   std::printf("seeded %zu-prefix table (version %llu) across %d shards; "
               "live feed carries %zu UPDATEs\n",
-              engine.AcquireTable()->size(),
+              engine.AcquireTable().flat().size(),
               static_cast<unsigned long long>(engine.table_version()),
               engine.shard_count(), feed.size());
 

@@ -104,8 +104,9 @@ class PrefixTable {
   using Flat = trie::FlatLpm<Match>;
 
   /// Compiles the current table into its flat form — one pass over the
-  /// trie plus the directory paint. Called by RcuTableSlot::Publish so
-  /// every published snapshot carries its compiled data plane.
+  /// trie plus the directory paint. Engine::PublishDelta calls it on the
+  /// seed path and hands the result to RcuTableSlot::Publish; a published
+  /// snapshot carries only this compiled data plane, never the trie.
   [[nodiscard]] Flat CompileFlat() const;
 
   /// Incremental recompile: copies `prev`'s directory and repaints only

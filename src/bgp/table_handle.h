@@ -1,12 +1,15 @@
-// Refcounted immutable PrefixTable snapshots with RCU-style publication.
+// Refcounted immutable snapshots of the compiled lookup directory, with
+// RCU-style publication.
 //
 // The real-time engine (src/engine) never lets a lookup take a lock: the
-// merged table lives behind an RcuTableSlot, writers build a *new* table
-// (clone + apply the UPDATE batch), and publish it with one atomic
-// pointer swap. Readers that acquired the previous snapshot keep a
-// reference count on it, so the old table stays alive until the last
-// in-flight lookup drops it — classic read-copy-update, with shared_ptr
-// refcounts standing in for grace periods.
+// writer keeps the one mutable PrefixTable, compiles a *new* flat
+// directory from it (PrefixTable::CompileFlat, or CompileFlatDelta, which
+// copies the previous directory and repaints only what changed), and
+// publishes it with one atomic pointer swap. Readers that acquired the
+// previous snapshot keep a reference count on it, so the old directory
+// stays alive until the last in-flight lookup drops it — classic
+// read-copy-update, with shared_ptr refcounts standing in for grace
+// periods. No trie is ever copied into a snapshot.
 //
 // Sides of the slot (machine-checked on Clang, see base/sync.h):
 //   * read side — Acquire()/version(): wait-free, any thread, any time;
@@ -20,7 +23,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <utility>
 
 #include "base/sync.h"
@@ -28,26 +30,16 @@
 
 namespace netclust::bgp {
 
-/// A refcounted, versioned, immutable PrefixTable snapshot. Cheap to copy
-/// (one refcount increment); the table itself is never mutated after
+/// A refcounted, versioned, immutable directory snapshot. Cheap to copy
+/// (one refcount increment); the directory is never mutated after
 /// publication, so handles are safe to read from any thread.
 class TableHandle {
  public:
   TableHandle() = default;
 
-  [[nodiscard]] const PrefixTable& operator*() const { return state_->table; }
-  [[nodiscard]] const PrefixTable* operator->() const {
-    return &state_->table;
-  }
-  [[nodiscard]] const PrefixTable* get() const {
-    return state_ == nullptr ? nullptr : &state_->table;
-  }
-  explicit operator bool() const { return state_ != nullptr; }
-
-  /// The flat LPM compiled from this snapshot at publish time. Immutable
-  /// like the table itself; this is the structure the serving plane reads
-  /// (Engine::Lookup / Engine::LookupBatch), the trie being kept for the
-  /// mutation-side bookkeeping and as the equivalence oracle.
+  /// The flat LPM published in this snapshot: what the serving plane
+  /// (Engine::Lookup / Engine::LookupBatch) and the shard workers resolve
+  /// against. Resolves bit-identically to the trie it was compiled from.
   [[nodiscard]] const PrefixTable::Flat& flat() const { return state_->flat; }
 
   /// Monotonic publication sequence number (0 = never published).
@@ -58,15 +50,10 @@ class TableHandle {
   /// Number of live references to this snapshot (readers + the slot).
   [[nodiscard]] long use_count() const { return state_.use_count(); }
 
-  friend bool operator==(const TableHandle& a, const TableHandle& b) {
-    return a.state_ == b.state_;
-  }
-
  private:
   friend class RcuTableSlot;
   struct State {
-    PrefixTable table;
-    PrefixTable::Flat flat;  // compiled from `table` at publish time
+    PrefixTable::Flat flat;
     std::uint64_t version = 0;
   };
   explicit TableHandle(std::shared_ptr<const State> state)
@@ -75,70 +62,44 @@ class TableHandle {
   std::shared_ptr<const State> state_;
 };
 
-/// The publication point: writers Publish() a new table, readers Acquire()
-/// the current one. Both sides are wait-free on the fast path
+/// The publication point: the writer Publish()es a new directory, readers
+/// Acquire() the current one. Both sides are wait-free on the fast path
 /// (std::atomic<std::shared_ptr>); neither blocks the other.
 class RcuTableSlot {
  public:
-  /// Starts with an empty table at version 1, so Acquire() is always valid.
+  /// Starts with an empty directory at version 1, so Acquire() is always
+  /// valid.
   RcuTableSlot() {
     // order: release — pairs with the acquire in Acquire()/Publish();
     // publishes the initial State before any handle to the slot escapes.
-    slot_.store(std::make_shared<const TableHandle::State>(TableHandle::State{
-                    PrefixTable{}, PrefixTable::Flat{}, 1}),
+    slot_.store(std::make_shared<const TableHandle::State>(
+                    TableHandle::State{PrefixTable::Flat{}, 1}),
                 std::memory_order_release);
   }
 
   /// Read side: the current snapshot. Never null; any thread, any time.
   [[nodiscard]] TableHandle Acquire() const {
     // order: acquire — pairs with Publish()'s release store; a reader that
-    // sees the new pointer sees the fully built table behind it.
+    // sees the new pointer sees the fully built directory behind it.
     return TableHandle(slot_.load(std::memory_order_acquire));
   }
 
-  /// Publish side: wraps `table` in a new snapshot one version past the
-  /// current one and swaps it in. Returns the handle just published.
-  /// The version bump is a non-atomic read-modify-write, hence the single
-  /// publisher role.
-  TableHandle Publish(PrefixTable table) REQUIRES(publisher_role_) {
+  /// Publish side: wraps the fully compiled `flat` in a new snapshot one
+  /// version past the current one and swaps it in. Returns the handle just
+  /// published. Compiling is the caller's job, so the cost lands on the
+  /// single publisher, never on a lookup. The version bump is a non-atomic
+  /// read-modify-write, hence the single publisher role.
+  TableHandle Publish(PrefixTable::Flat flat) REQUIRES(publisher_role_) {
     // order: acquire — the publisher reads its own previous release store
     // (or the constructor's), for which relaxed would be admissible under
     // the single-publisher contract; acquire keeps this correct even if
     // the contract is ever widened to externally-locked multi-writer.
     const std::uint64_t next =
         slot_.load(std::memory_order_acquire)->version + 1;
-    // Compile the snapshot's flat data plane before publication: readers
-    // that see the new pointer see a fully built directory, and the cost
-    // lands on the single publisher, never on a lookup.
-    PrefixTable::Flat flat = table.CompileFlat();
     auto state = std::make_shared<const TableHandle::State>(
-        TableHandle::State{std::move(table), std::move(flat), next});
+        TableHandle::State{std::move(flat), next});
     // order: release — pairs with Acquire(); readers must see the complete
-    // State (table contents + version) before the pointer swap is visible.
-    slot_.store(state, std::memory_order_release);
-    return TableHandle(std::move(state));
-  }
-
-  /// Delta publish: like Publish(), but the flat directory is compiled
-  /// incrementally from the previous snapshot's, repainting only the root
-  /// ranges a prefix in `changed` covers (PrefixTable::CompileFlatDelta).
-  /// The previous flat is copied, never mutated, and the touched blocks
-  /// are rebuilt inside the copy — readers holding the old handle keep an
-  /// intact directory, and readers that see the new pointer see a fully
-  /// repainted one; no interleaving exposes a torn state.
-  TableHandle Publish(PrefixTable table,
-                      std::span<const net::Prefix> changed)
-      REQUIRES(publisher_role_) {
-    // order: acquire — same single-publisher read as Publish() above; the
-    // previous State supplies both the version and the flat to delta from.
-    const std::shared_ptr<const TableHandle::State> prev =
-        slot_.load(std::memory_order_acquire);
-    PrefixTable::Flat flat = table.CompileFlatDelta(prev->flat, changed);
-    auto state = std::make_shared<const TableHandle::State>(
-        TableHandle::State{std::move(table), std::move(flat),
-                           prev->version + 1});
-    // order: release — pairs with Acquire(); readers must see the complete
-    // repainted directory before the pointer swap is visible.
+    // State (directory + version) before the pointer swap is visible.
     slot_.store(state, std::memory_order_release);
     return TableHandle(std::move(state));
   }

@@ -5,9 +5,21 @@
 #include <utility>
 
 namespace netclust::core {
+namespace {
 
-std::uint32_t AssignmentState::ClusterFor(const net::Prefix& prefix,
-                                          bool from_dump) {
+using Match = bgp::PrefixTable::Match;
+using FlatMatch = bgp::PrefixTable::Flat::Match;
+
+// The two tables answer alike; a trie match is its own payload, a
+// directory match points at it.
+const Match& Payload(const Match& match) { return match; }
+const Match& Payload(const FlatMatch& match) { return *match.value; }
+
+}  // namespace
+
+template <class Table>
+std::uint32_t AssignmentState<Table>::ClusterFor(const net::Prefix& prefix,
+                                                 bool from_dump) {
   const auto [it, inserted] = cluster_index_.emplace(
       prefix, static_cast<std::uint32_t>(clusters_.size()));
   if (inserted) {
@@ -26,7 +38,9 @@ std::uint32_t AssignmentState::ClusterFor(const net::Prefix& prefix,
   return it->second;
 }
 
-void AssignmentState::Detach(net::IpAddress client, ClientState& state) {
+template <class Table>
+void AssignmentState<Table>::Detach(net::IpAddress client,
+                                    ClientState& state) {
   if (state.cluster == kUnclustered) {
     unclustered_.erase(client);
     return;
@@ -40,33 +54,43 @@ void AssignmentState::Detach(net::IpAddress client, ClientState& state) {
   state.cluster = kUnclustered;
 }
 
-bool AssignmentState::Reassign(net::IpAddress client,
-                               const bgp::PrefixTable& table) {
-  ClientState& state = clients_.at(client);
-  const auto match = table.LongestMatch(client);
-
-  const std::uint32_t target =
-      match.has_value()
-          ? ClusterFor(match->prefix,
-                       match->kind == bgp::SourceKind::kNetworkDump)
-          : kUnclustered;
-  if (target == state.cluster) return false;
-
-  Detach(client, state);
+template <class Table>
+void AssignmentState<Table>::Attach(net::IpAddress client, ClientState& state,
+                                    std::uint32_t target) {
   state.cluster = target;
   if (target == kUnclustered) {
     unclustered_.insert(client);
-  } else {
-    StreamCluster& cluster = clusters_[target];
-    cluster.members.insert(client);
-    cluster.requests += state.requests;
-    cluster.bytes += state.bytes;
+    return;
   }
+  StreamCluster& cluster = clusters_[target];
+  cluster.members.insert(client);
+  cluster.requests += state.requests;
+  cluster.bytes += state.bytes;
+}
+
+template <class Table>
+std::uint32_t AssignmentState<Table>::Resolve(net::IpAddress client,
+                                              const Table& table) {
+  const auto match = table.LongestMatch(client);
+  if (!match.has_value()) return kUnclustered;
+  return ClusterFor(match->prefix, Payload(*match).kind ==
+                                       bgp::SourceKind::kNetworkDump);
+}
+
+template <class Table>
+bool AssignmentState<Table>::Reassign(net::IpAddress client,
+                                      const Table& table) {
+  ClientState& state = clients_.at(client);
+  const std::uint32_t target = Resolve(client, table);
+  if (target == state.cluster) return false;
+  Detach(client, state);
+  Attach(client, state, target);
   return true;
 }
 
-std::size_t AssignmentState::OnAnnounced(const net::Prefix& prefix,
-                                         const bgp::PrefixTable& table) {
+template <class Table>
+std::size_t AssignmentState<Table>::OnAnnounced(const net::Prefix& prefix,
+                                                const Table& table) {
   // Only clients inside `prefix` whose current match is an ancestor (or
   // nothing) can move. Their clusters are keyed by ancestors of `prefix`,
   // reachable by walking at most 32 parents.
@@ -93,8 +117,9 @@ std::size_t AssignmentState::OnAnnounced(const net::Prefix& prefix,
   return moved;
 }
 
-std::size_t AssignmentState::OnWithdrawn(const net::Prefix& prefix,
-                                         const bgp::PrefixTable& table) {
+template <class Table>
+std::size_t AssignmentState<Table>::OnWithdrawn(const net::Prefix& prefix,
+                                                const Table& table) {
   const auto it = cluster_index_.find(prefix);
   if (it == cluster_index_.end()) return 0;
   StreamCluster& cluster = clusters_[it->second];
@@ -111,23 +136,14 @@ std::size_t AssignmentState::OnWithdrawn(const net::Prefix& prefix,
   return moved;
 }
 
-void AssignmentState::Observe(net::IpAddress client, std::uint32_t url_id,
-                              std::uint32_t bytes,
-                              const bgp::PrefixTable& table) {
+template <class Table>
+void AssignmentState<Table>::Observe(net::IpAddress client,
+                                     std::uint32_t url_id, std::uint32_t bytes,
+                                     const Table& table) {
   ++requests_;
   auto [it, inserted] = clients_.try_emplace(client);
   ClientState& state = it->second;
-  if (inserted) {
-    const auto match = table.LongestMatch(client);
-    if (match.has_value()) {
-      state.cluster = ClusterFor(
-          match->prefix, match->kind == bgp::SourceKind::kNetworkDump);
-      clusters_[state.cluster].members.insert(client);
-    } else {
-      state.cluster = kUnclustered;
-      unclustered_.insert(client);
-    }
-  }
+  if (inserted) Attach(client, state, Resolve(client, table));
   state.requests += 1;
   state.bytes += bytes;
   if (state.cluster != kUnclustered) {
@@ -138,7 +154,8 @@ void AssignmentState::Observe(net::IpAddress client, std::uint32_t url_id,
   }
 }
 
-Clustering AssignmentState::Merge(
+template <class Table>
+Clustering AssignmentState<Table>::Merge(
     std::string approach, std::string log_name,
     const std::vector<const AssignmentState*>& shards) {
   Clustering out;
@@ -215,5 +232,8 @@ Clustering AssignmentState::Merge(
   std::sort(out.unclustered.begin(), out.unclustered.end());
   return out;
 }
+
+template class AssignmentState<bgp::PrefixTable>;
+template class AssignmentState<bgp::PrefixTable::Flat>;
 
 }  // namespace netclust::core

@@ -74,8 +74,8 @@ void StreamingClusterer::ObserveLog(const weblog::ServerLog& log) {
 
 Clustering StreamingClusterer::ToClustering() const {
   base::MutexLock lock(&mu_);
-  return AssignmentState::Merge("network-aware-streaming", log_name_,
-                                {&state_});
+  return AssignmentState<bgp::PrefixTable>::Merge(
+      "network-aware-streaming", log_name_, {&state_});
 }
 
 }  // namespace netclust::core

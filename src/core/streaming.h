@@ -28,8 +28,8 @@
 // assignment state and the stats (annotated GUARDED_BY, enforced at
 // compile time on Clang builds); the sharded engine (src/engine) is the
 // lock-free path for workloads where this coarse lock would contend.
-// table()/assignment() return references and are the exception: they are
-// only meaningful once mutators have quiesced.
+// table() returns a reference and is the exception: it is only meaningful
+// once mutators have quiesced.
 #pragma once
 
 #include <cstdint>
@@ -112,12 +112,6 @@ class StreamingClusterer {
     base::MutexLock lock(&mu_);
     return table_;
   }
-  /// Direct reference to the live assignment state (same quiescence
-  /// contract as table()).
-  [[nodiscard]] const AssignmentState& assignment() const {
-    base::MutexLock lock(&mu_);
-    return state_;
-  }
 
   /// Materializes the current state as a batch-compatible Clustering, in
   /// the canonical order of AssignmentState::Merge — so it compares
@@ -134,7 +128,7 @@ class StreamingClusterer {
 
   mutable base::Mutex mu_;
   bgp::PrefixTable table_ GUARDED_BY(mu_);
-  AssignmentState state_ GUARDED_BY(mu_);
+  AssignmentState<bgp::PrefixTable> state_ GUARDED_BY(mu_);
   Stats stats_ GUARDED_BY(mu_);
   std::string log_name_;  // immutable after construction
 };

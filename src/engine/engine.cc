@@ -57,33 +57,20 @@ int Engine::SeedSnapshot(const bgp::Snapshot& snapshot) {
 
 void Engine::Announce(const net::Prefix& prefix, int source_id,
                       bgp::AsNumber origin_as) {
-  base::AssumeThreadRole ingest(ingest_role_);
-  metrics_.updates_ingested.Inc();
-  const bool existed = master_.Contains(prefix);
-  if (!master_.Insert(prefix, source_id, origin_as)) {
-    // Duplicate re-announce: the lookup-visible table is unchanged, so
-    // neither a recompile nor a version bump happens — a version bump
-    // would needlessly invalidate every mapping-tier cache keyed on it.
-    metrics_.updates_noop.Inc();
-    return;
-  }
-  // A refresh still publishes (attributes changed, so the directory must
-  // repaint the prefix) but carries no re-resolution delta — no client
-  // moves, same as StreamingClusterer::Announce.
-  PublishDelta({},
-               existed ? std::vector<net::Prefix>{}
-                       : std::vector<net::Prefix>{prefix},
-               {prefix});
+  ApplyUpdate({.withdrawn = {}, .announced = {prefix}, .as_path = {origin_as},
+               .next_hop = {}},
+              source_id);
 }
 
 void Engine::Withdraw(const net::Prefix& prefix) {
-  base::AssumeThreadRole ingest(ingest_role_);
-  metrics_.updates_ingested.Inc();
-  if (!master_.Remove(prefix)) {
-    metrics_.updates_noop.Inc();  // spurious: table unchanged, no publish
-    return;
-  }
-  PublishDelta({prefix}, {}, {prefix});
+  // A withdrawal removes the prefix for every source; no id is consulted.
+  ApplyUpdate({.withdrawn = {prefix}, .announced = {}, .as_path = {},
+               .next_hop = {}},
+              bgp::PrefixTable::kInvalidSource);
+}
+
+void Engine::ApplyUpdate(const bgp::UpdateMessage& update, int source_id) {
+  (void)ApplyUpdateBatch(std::span(&update, 1), source_id);
 }
 
 void Engine::AbsorbUpdate(const bgp::UpdateMessage& update, int source_id,
@@ -100,27 +87,15 @@ void Engine::AbsorbUpdate(const bgp::UpdateMessage& update, int source_id,
       update.as_path.empty() ? 0 : update.as_path.back();
   for (const net::Prefix& prefix : update.announced) {
     const bool existed = master_.Contains(prefix);
-    if (!master_.Insert(prefix, source_id, origin)) continue;  // duplicate
+    // A duplicate re-announce leaves the lookup-visible table unchanged:
+    // no recompile, and no version bump to invalidate every mapping-tier
+    // cache keyed on it.
+    if (!master_.Insert(prefix, source_id, origin)) continue;
+    // A refresh (attributes changed) still repaints the prefix but moves
+    // no client, same as StreamingClusterer::Announce.
     if (!existed) announced->push_back(prefix);
     touched->push_back(prefix);
   }
-}
-
-void Engine::ApplyUpdate(const bgp::UpdateMessage& update, int source_id) {
-  base::AssumeThreadRole ingest(ingest_role_);
-  metrics_.updates_ingested.Inc();
-  std::vector<net::Prefix> withdrawn;
-  std::vector<net::Prefix> announced;
-  std::vector<net::Prefix> touched;
-  AbsorbUpdate(update, source_id, &withdrawn, &announced, &touched);
-  if (touched.empty()) {
-    // Duplicate announces and spurious withdraws only: nothing in the
-    // table changed, so publishing would churn caches for no reason.
-    metrics_.updates_noop.Inc();
-    return;
-  }
-  PublishDelta(std::move(withdrawn), std::move(announced),
-               std::move(touched));
 }
 
 std::size_t Engine::ApplyUpdateBatch(
@@ -151,18 +126,16 @@ void Engine::PublishDelta(std::vector<net::Prefix> withdrawn,
                           std::vector<net::Prefix> announced,
                           std::vector<net::Prefix> touched) {
   const std::uint64_t start = NowNs();
-  bgp::PrefixTable copy = master_;  // deep clone; readers keep the old one
   // The ingest thread is the slot's one publisher.
   base::AssumeThreadRole publisher(slot_.publisher_role());
-  bgp::TableHandle handle;
-  if (touched.empty()) {
-    // The seed path: everything changed, compile from scratch.
-    handle = slot_.Publish(std::move(copy));
-    metrics_.full_publishes.Inc();
-  } else {
-    handle = slot_.Publish(std::move(copy), touched);
-    metrics_.delta_publishes.Inc();
-  }
+  // Compiled straight from the working trie: the delta path copies the
+  // previous directory and repaints the copy, so readers holding the old
+  // snapshot never see a write, and no trie is cloned.
+  const bool full = touched.empty();  // the seed path: everything changed
+  const bgp::TableHandle handle = slot_.Publish(
+      full ? master_.CompileFlat()
+           : master_.CompileFlatDelta(slot_.Acquire().flat(), touched));
+  (full ? metrics_.full_publishes : metrics_.delta_publishes).Inc();
   metrics_.swaps_published.Inc();
   metrics_.swap_build_ns.Record(NowNs() - start);
 
@@ -279,7 +252,7 @@ void Engine::Drain() {
 core::Clustering Engine::Snapshot() {
   Drain();
   base::AssumeThreadRole ingest(ingest_role_);
-  std::vector<const core::AssignmentState*> states;
+  std::vector<const ShardState*> states;
   states.reserve(shards_.size());
   for (const auto& shard : shards_) {
     // Drain() quiesced the worker: its release of processed_ has been
@@ -288,8 +261,8 @@ core::Clustering Engine::Snapshot() {
     base::AssumeThreadRole consumer(shard->consumer_role());
     states.push_back(&shard->state());
   }
-  return core::AssignmentState::Merge("network-aware-streaming",
-                                      config_.log_name, states);
+  return ShardState::Merge("network-aware-streaming", config_.log_name,
+                           states);
 }
 
 }  // namespace netclust::engine

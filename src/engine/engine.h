@@ -7,10 +7,11 @@
 //   * clients are sharded by IP hash; each shard is fed through a bounded
 //     lock-free SPSC ring with a configurable backpressure policy
 //     (block vs. drop-with-accounting);
-//   * routing updates are applied to an ingest-side working table, then
-//     published as an immutable PrefixTable snapshot via RCU-style atomic
-//     swap (bgp::RcuTableSlot) — lookups never take a lock, and workers
-//     re-resolve only the clients under changed prefixes;
+//   * routing updates are applied to the ingest thread's one working trie,
+//     compiled into an immutable flat directory and published via
+//     RCU-style atomic swap (bgp::RcuTableSlot) — lookups never take a
+//     lock, and workers re-resolve only the clients under changed
+//     prefixes;
 //   * an embedded metrics layer (engine/metrics.h) counts and times the
 //     ingest, lookup, swap and reassignment paths;
 //   * Drain()/Snapshot() quiesce the shards and merge their states into a
@@ -76,24 +77,25 @@ class Engine {
   /// Returns the source id.
   int SeedSnapshot(const bgp::Snapshot& snapshot);
 
-  /// Announces one prefix and publishes the resulting snapshot.
+  /// Announces one prefix: ApplyUpdate() of a one-prefix UPDATE.
   void Announce(const net::Prefix& prefix, int source_id,
                 bgp::AsNumber origin_as = 0);
 
-  /// Withdraws one prefix and publishes the resulting snapshot.
+  /// Withdraws one prefix: ApplyUpdate() of a one-prefix UPDATE.
   void Withdraw(const net::Prefix& prefix);
 
-  /// Applies one BGP UPDATE as a single batch: one new table snapshot, one
-  /// RCU swap, one delta broadcast to every shard. An update that changes
-  /// nothing (duplicate announce, withdraw of an absent prefix) is a
-  /// counted no-op: no recompile, no version bump, no cache invalidation.
+  /// Applies one BGP UPDATE: ApplyUpdateBatch() of one update.
   void ApplyUpdate(const bgp::UpdateMessage& update, int source_id);
 
   /// Applies a burst of UPDATEs as ONE published snapshot: the working
   /// table absorbs every message, then a single incremental recompile +
-  /// RCU swap + shard broadcast covers them all. This is the live-feed
-  /// path (netclustd --live-bgp4mp): batching amortizes the publish cost
-  /// across the burst. Returns how many updates changed the table.
+  /// RCU swap + shard broadcast covers them all. Every routing-plane
+  /// write goes through here; the live feed (netclustd --live-bgp4mp)
+  /// batches to amortize the publish cost across the burst. An update
+  /// that changes nothing (duplicate announce, withdraw of an absent
+  /// prefix) is a counted no-op, and a burst of only those publishes
+  /// nothing: no recompile, no version bump, no cache invalidation.
+  /// Returns how many updates changed the table.
   std::size_t ApplyUpdateBatch(std::span<const bgp::UpdateMessage> updates,
                                int source_id);
 
@@ -113,17 +115,15 @@ class Engine {
   ///
   /// This is the engine's public serving API: safe to call from ANY thread
   /// at ANY time, concurrently with ingest — it takes no lock and blocks
-  /// on nothing (one acquire-load of the RCU slot plus a read-only trie
-  /// walk over an immutable snapshot). netclustd's reader threads call it
-  /// directly per request frame; the contract is witnessed under TSan by
+  /// on nothing (one acquire-load of the RCU slot plus at most three
+  /// array reads in the snapshot's immutable flat directory, compiled at
+  /// publish time and bit-identical to a trie walk, property-tested).
+  /// netclustd's reader threads call it directly per request frame; the
+  /// contract is witnessed under TSan by
   /// Engine.ConcurrentLookupVsIngestIsRaceFree (tests/engine_test.cpp).
   /// A lookup races only with the *publication* of a new snapshot, never
-  /// with its construction: it sees the old table or the new one, complete
-  /// either way.
-  ///
-  /// Since PR 5 this resolves against the snapshot's flat LPM directory
-  /// (trie::FlatLpm, compiled at publish time) rather than walking the
-  /// Patricia trie; results are bit-identical (property-tested).
+  /// with its construction: it sees the old directory or the new one,
+  /// complete either way.
   [[nodiscard]] std::optional<bgp::PrefixTable::Match> Lookup(
       net::IpAddress address) const;
 
@@ -169,21 +169,22 @@ class Engine {
   }
 
  private:
-  /// Clones the working table, publishes it, and broadcasts the delta to
-  /// every shard (control events always block — they are never dropped).
-  /// `touched` drives the incremental flat recompile (every prefix whose
-  /// painted range must be redone — withdrawn, announced, AND refreshed);
-  /// `withdrawn`/`announced` drive shard-side client re-resolution only.
-  /// An empty `touched` means "everything" (the seed path) and compiles
-  /// from scratch.
+  /// Compiles the working table's flat directory, publishes it, and
+  /// broadcasts the delta to every shard (control events always block —
+  /// they are never dropped). No trie is copied: `touched` drives the
+  /// incremental recompile against the published directory (every prefix
+  /// whose painted range must be redone — withdrawn, announced, AND
+  /// refreshed); `withdrawn`/`announced` drive shard-side client
+  /// re-resolution only. An empty `touched` means "everything" (the seed
+  /// path) and compiles from scratch.
   void PublishDelta(std::vector<net::Prefix> withdrawn,
                     std::vector<net::Prefix> announced,
                     std::vector<net::Prefix> touched)
       REQUIRES(ingest_role_);
 
   /// Applies one UPDATE to the working table, appending what it removed /
-  /// newly added / changed-at-all to the three accumulators. Shared by
-  /// the single-update and batched ingest paths.
+  /// newly added / changed-at-all to the three accumulators. The engine's
+  /// only decision between new, refresh and no-op.
   void AbsorbUpdate(const bgp::UpdateMessage& update, int source_id,
                     std::vector<net::Prefix>* withdrawn,
                     std::vector<net::Prefix>* announced,
@@ -196,8 +197,8 @@ class Engine {
   base::ThreadRole ingest_role_;
   EngineConfig config_ ONLY_THREAD(ingest_role_);
   bgp::PrefixTable master_
-      ONLY_THREAD(ingest_role_);  // ingest-side working copy
-  bgp::RcuTableSlot slot_;        // published immutable snapshots
+      ONLY_THREAD(ingest_role_);  // the one trie; never published
+  bgp::RcuTableSlot slot_;        // published immutable directories
   mutable EngineMetrics metrics_;
   std::vector<std::unique_ptr<ShardWorker>> shards_;
   bool running_ ONLY_THREAD(ingest_role_) = false;

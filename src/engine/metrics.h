@@ -93,7 +93,7 @@ struct EngineMetrics {
   Counter requests_processed;  // resolved + accounted by a worker
   Counter updates_ingested;    // routing events offered to the engine
   Counter updates_noop;        // updates that changed nothing (no publish)
-  Counter update_batches;      // ApplyUpdateBatch() calls (bursts)
+  Counter update_batches;      // ApplyUpdateBatch() calls (any write)
   Counter swaps_published;     // table snapshots published (RCU swaps)
   Counter delta_publishes;     // snapshots compiled incrementally
   Counter full_publishes;      // snapshots compiled from scratch (seeds)

@@ -216,6 +216,25 @@ int main(int argc, char** argv) {
     bounce.insert(bounce.end(), mid.begin(), mid.end());
     bounce.insert(bounce.end(), up.begin(), up.end());
     WriteBytes(root / "mrt" / "seed-bgp4mp-state-change", bounce);
+
+    // The record-length cap, from both sides. A record whose body is
+    // exactly kMaxRecordBytes (a real UPDATE, zero-padded) is buffered
+    // whole and decoded (as malformed: trailing garbage); a header
+    // declaring one byte more is counted in truncated_records and the
+    // stream resyncs past it. Each is followed by a valid announce.
+    const std::vector<std::uint8_t> tail =
+        bgp::WriteBgp4mpUpdate(announce, 106, 7018, peer, false);
+    constexpr std::uint32_t kCap = bgp::Bgp4mpStream::kMaxRecordBytes;
+    ByteWriter at_cap;
+    at_cap.Header(16, 1, kCap);
+    at_cap.bytes.insert(at_cap.bytes.end(), tail.begin() + 12, tail.end());
+    at_cap.bytes.resize(12 + kCap, 0);
+    at_cap.bytes.insert(at_cap.bytes.end(), tail.begin(), tail.end());
+    WriteBytes(root / "mrt" / "seed-bgp4mp-record-at-cap", at_cap.bytes);
+    ByteWriter past_cap;
+    past_cap.Header(16, 1, kCap + 1);
+    past_cap.bytes.insert(past_cap.bytes.end(), tail.begin(), tail.end());
+    WriteBytes(root / "mrt" / "seed-bgp4mp-record-past-cap", past_cap.bytes);
   }
 
   WriteText(root / "text" / "seed-cidr",
@@ -478,6 +497,18 @@ int main(int argc, char** argv) {
       oversized.U8(0x03);
       oversized.U32(0x7FFFFFFF);
       WriteBytes(root / "proto" / "seed-oversized-length", oversized.bytes);
+
+      // The payload cap, from both sides: a header declaring exactly
+      // kMaxPayload is accepted (the decoder parks for the payload), one
+      // declaring a byte more is rejected at the header.
+      for (const std::uint32_t extra : {0u, 1u}) {
+        ByteWriter capped;
+        capped.bytes.assign(oversized.bytes.begin(), oversized.bytes.end() - 4);
+        capped.U32(server::kMaxPayload + extra);
+        WriteBytes(root / "proto" / (extra == 0 ? "seed-payload-at-cap"
+                                                : "seed-payload-past-cap"),
+                   capped.bytes);
+      }
 
       // Truncated: a valid BATCH_LOOKUP header whose 8-byte payload
       // never arrives (the decoder must park, not crash or accept).

@@ -4,13 +4,13 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <fstream>
-#include <iterator>
 #include <limits>
 #include <span>
 #include <sstream>
 #include <utility>
 
+#include <fcntl.h>
+#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/uio.h>
@@ -163,9 +163,10 @@ void Server::Stop() {
     if (r->thread.joinable()) r->thread.join();
   }
 
-  // 1.5. The live feeder checks stopping_ between bursts, and any burst
-  //      it is waiting on completes because the ingest thread is still
-  //      running — so this join is bounded by one batch publish.
+  // 1.5. The live feeder checks stopping_ on every 100 ms poll turn, and
+  //      any burst it is waiting on completes because the ingest thread is
+  //      still running — so this join is bounded by one poll slice plus
+  //      one batch publish.
   if (live_thread_.joinable()) live_thread_.join();
 
   // 2. With the reactors gone, no job is left waiting: the ingest queue is
@@ -971,35 +972,50 @@ bool Server::SubmitLiveBatch(std::vector<bgp::UpdateMessage>* batch) {
 }
 
 void Server::LiveFeedLoop() {
-  std::ifstream in(config_.live_bgp4mp_path, std::ios::binary);
-  if (!in) {
+  // Streamed in chunks: each batch publishes as soon as its records
+  // arrive, so a collector's tail (or a FIFO) need not end first, and
+  // memory stays bounded by one record plus one chunk. Non-blocking, so
+  // opening a FIFO with no writer yet cannot wedge Stop().
+  const int fd = ::open(config_.live_bgp4mp_path.c_str(),
+                        O_RDONLY | O_CLOEXEC | O_NONBLOCK);
+  if (fd < 0) {
     metrics_.live_decode_errors.Inc();
     return;
   }
-  const std::vector<std::uint8_t> bytes(
-      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
   bgp::Bgp4mpStream stream;
-  stream.Feed(bytes.data(), bytes.size());
-  stream.Finish();
-
+  std::vector<std::uint8_t> chunk(64 * 1024);
   std::vector<bgp::UpdateMessage> batch;
   const std::size_t cap = std::max<std::size_t>(1, config_.live_batch_size);
   batch.reserve(cap);
-  for (;;) {
-    // order: relaxed — pure stop flag, same contract as the reactor loop.
-    if (stopping_.load(std::memory_order_relaxed)) return;
-    auto event = stream.Next();
-    if (!event.has_value()) break;  // file fully replayed
-    if (event->kind == bgp::Bgp4mpEventKind::kStateChange) {
-      // FSM transitions are churn-monitoring signal, not table mutations;
-      // a session reset shows up as the withdraw burst that follows it.
-      metrics_.live_state_changes.Inc();
-      continue;
+  bool eof = false;
+  // order: relaxed — pure stop flag, same contract as the reactor loop.
+  while (!eof && !stopping_.load(std::memory_order_relaxed)) {
+    // Readable, hung up, or a poll error that the read then reports.
+    if (PollOne(fd, POLLIN, 100) != 0) {
+      const ssize_t got = RetryRead(fd, chunk.data(), chunk.size());
+      if (got > 0) {
+        stream.Feed(chunk.data(), static_cast<std::size_t>(got));
+      } else if (got == 0 || errno != EAGAIN) {
+        stream.Finish();
+        eof = true;
+      }
     }
-    batch.push_back(std::move(event->update));
-    if (batch.size() >= cap && !SubmitLiveBatch(&batch)) return;
+    while (auto event = stream.Next()) {
+      if (event->kind == bgp::Bgp4mpEventKind::kStateChange) {
+        // FSM transitions are churn-monitoring signal, not table mutations;
+        // a session reset shows up as the withdraw burst that follows it.
+        metrics_.live_state_changes.Inc();
+        continue;
+      }
+      batch.push_back(std::move(event->update));
+      if (batch.size() >= cap && !SubmitLiveBatch(&batch)) {
+        CloseFd(fd);  // draining: abandon the feed
+        return;
+      }
+    }
   }
-  if (!batch.empty()) (void)SubmitLiveBatch(&batch);
+  CloseFd(fd);
+  if (eof && !batch.empty()) (void)SubmitLiveBatch(&batch);
   const bgp::Bgp4mpStats& stats = stream.stats();
   metrics_.live_decode_errors.Inc(stats.malformed_records +
                                   stats.truncated_records);

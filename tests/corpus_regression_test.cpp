@@ -12,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include "bgp/mrt.h"
 #include "fuzz/harness.h"
+#include "server/proto.h"
 
 namespace {
 
@@ -63,5 +65,40 @@ TEST(CorpusRegressionTest, Roundtrip) {
 }
 
 TEST(CorpusRegressionTest, Proto) { ReplayAll(netclust::fuzz::FuzzProto); }
+
+// The length-cap seeds sit on their bounds: exactly at the cap is accepted,
+// one past it is refused, and the stream carries on after the refusal.
+TEST(CorpusRegressionTest, LengthCapSeedsStraddleTheirBounds) {
+  const fs::path corpus(NETCLUST_CORPUS_DIR);
+  const auto mrt_stats = [&corpus](const char* name) {
+    const std::vector<std::uint8_t> bytes = ReadAll(corpus / "mrt" / name);
+    netclust::bgp::Bgp4mpStream stream;
+    stream.Feed(bytes.data(), bytes.size());
+    stream.Finish();
+    while (stream.Next().has_value()) {
+    }
+    return stream.stats();
+  };
+  const netclust::bgp::Bgp4mpStats at = mrt_stats("seed-bgp4mp-record-at-cap");
+  EXPECT_EQ(at.truncated_records, 0u);
+  EXPECT_EQ(at.records, 2u);
+  EXPECT_EQ(at.updates, 1u);
+  const netclust::bgp::Bgp4mpStats past =
+      mrt_stats("seed-bgp4mp-record-past-cap");
+  EXPECT_EQ(past.truncated_records, 1u);
+  EXPECT_EQ(past.updates, 1u);  // resynced onto the record behind it
+
+  const auto frame_ok = [&corpus](const char* name) {
+    const std::vector<std::uint8_t> bytes = ReadAll(corpus / "proto" / name);
+    netclust::server::FrameDecoder decoder;
+    decoder.Feed(bytes.data(), bytes.size());
+    const auto next = decoder.Next();
+    // A header-only seed never completes a frame; it either parks or fails.
+    EXPECT_FALSE(next.ok() && next.value().has_value()) << name;
+    return next.ok();
+  };
+  EXPECT_TRUE(frame_ok("seed-payload-at-cap"));
+  EXPECT_FALSE(frame_ok("seed-payload-past-cap"));
+}
 
 }  // namespace

@@ -2,12 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/resource.h>
+#include <sys/time.h>
 
 #include "base/sync.h"
 #include "bgp/table_handle.h"
@@ -67,27 +73,46 @@ TEST(RcuTableSlot, PublishedSnapshotsAreImmutableAndRefcounted) {
   // This test thread is the slot's single publisher.
   base::AssumeThreadRole publisher(slot.publisher_role());
   EXPECT_EQ(slot.version(), 1u);
-  EXPECT_EQ(slot.Acquire()->size(), 0u);
+  EXPECT_EQ(slot.Acquire().flat().size(), 0u);
 
   bgp::PrefixTable table;
   const int source = table.AddSource({"T", "1/1/2000",
                                       bgp::SourceKind::kBgpTable, ""});
-  table.Insert(P("12.0.0.0/8"), source);
+  const IpAddress client(12, 65, 147, 94);
+  const auto answer = [&client](const bgp::TableHandle& handle) {
+    const auto match = handle.flat().LongestMatch(client);
+    return match.has_value() ? match->prefix : P("0.0.0.0/32");
+  };
 
-  // Publish clones: the old handle keeps serving the old table.
-  const bgp::TableHandle v1 = slot.Acquire();
-  slot.Publish(table);  // deep copy in
-  const bgp::TableHandle v2 = slot.Acquire();
-  EXPECT_EQ(v2.version(), 2u);
-  EXPECT_EQ(v1->size(), 0u);
-  EXPECT_EQ(v2->size(), 1u);
+  // Each publish nests a more specific prefix over the client. Every
+  // handle acquired along the way keeps resolving its own version's
+  // answer after the later publishes.
+  std::vector<bgp::TableHandle> handles = {slot.Acquire()};
+  const std::vector<Prefix> nested = {P("12.0.0.0/8"), P("12.65.0.0/16"),
+                                      P("12.65.128.0/19")};
+  for (const Prefix& prefix : nested) {
+    table.Insert(prefix, source);
+    const std::vector<Prefix> changed = {prefix};
+    slot.Publish(table.CompileFlatDelta(slot.Acquire().flat(), changed));
+    handles.push_back(slot.Acquire());
+  }
+  ASSERT_EQ(handles.size(), 4u);
+  EXPECT_FALSE(handles[0].flat().LongestMatch(client).has_value());
+  for (std::size_t v = 1; v < handles.size(); ++v) {
+    EXPECT_EQ(handles[v].version(), v + 1);
+    EXPECT_EQ(answer(handles[v]), nested[v - 1]) << v;
+  }
+  // Superseded snapshots live on through their readers alone; the current
+  // one is shared with the slot.
+  EXPECT_EQ(handles[1].use_count(), 1);
+  EXPECT_EQ(handles[3].use_count(), 2);
 
-  // Mutating the writer's working table does not leak into the snapshot.
-  table.Insert(P("12.65.128.0/19"), source);
-  EXPECT_EQ(v2->size(), 1u);
-  EXPECT_TRUE(v2->LongestMatch(IpAddress(12, 65, 147, 94)).has_value());
-  EXPECT_EQ(v2->LongestMatch(IpAddress(12, 65, 147, 94))->prefix,
-            P("12.0.0.0/8"));
+  // Mutating the writer's table after a publish leaks into no snapshot.
+  table.Insert(P("12.65.147.0/24"), source);
+  ASSERT_TRUE(table.Remove(P("12.65.128.0/19")));
+  EXPECT_EQ(answer(handles[3]), P("12.65.128.0/19"));
+  EXPECT_EQ(answer(slot.Acquire()), P("12.65.128.0/19"));
+  EXPECT_EQ(slot.version(), 4u);
 }
 
 // ---------------------------------------------------------------------------
@@ -95,22 +120,27 @@ TEST(RcuTableSlot, PublishedSnapshotsAreImmutableAndRefcounted) {
 // request/update script is bit-identical to a sequential StreamingClusterer
 // replay of the same script, for 1, 2 and 8 shards.
 
-template <typename OnRequest, typename OnUpdate>
+// Fixed interleaving: the update feed ticks every kBurst requests and
+// delivers a burst of one to three updates per tick (the rest at the end).
+template <typename OnRequest, typename OnBurst>
 void ReplayScript(const std::vector<weblog::CompactRequest>& requests,
                   const std::vector<bgp::UpdateMessage>& updates,
-                  OnRequest&& on_request, OnUpdate&& on_update) {
-  // Fixed interleaving: the update feed ticks every kBurst requests.
+                  OnRequest&& on_request, OnBurst&& on_burst) {
   constexpr std::size_t kBurst = 256;
   std::size_t next_update = 0;
+  std::size_t tick = 0;
+  const auto burst = [&](std::size_t size) {
+    size = std::min(size, updates.size() - next_update);
+    on_burst(std::span(updates).subspan(next_update, size));
+    next_update += size;
+  };
   for (std::size_t i = 0; i < requests.size(); ++i) {
     on_request(requests[i]);
     if ((i + 1) % kBurst == 0 && next_update < updates.size()) {
-      on_update(updates[next_update++]);
+      burst(1 + tick++ % 3);
     }
   }
-  for (; next_update < updates.size(); ++next_update) {
-    on_update(updates[next_update]);
-  }
+  if (next_update < updates.size()) burst(updates.size() - next_update);
 }
 
 TEST(Engine, SnapshotBitIdenticalToSequentialReplay) {
@@ -129,12 +159,17 @@ TEST(Engine, SnapshotBitIdenticalToSequentialReplay) {
       [&](const weblog::CompactRequest& r) {
         sequential.Observe(r.client, r.url_id, r.response_bytes, r.timestamp);
       },
-      [&](const bgp::UpdateMessage& u) {
-        sequential.ApplyUpdate(u, source);
+      [&](std::span<const bgp::UpdateMessage> burst) {
+        for (const bgp::UpdateMessage& u : burst) {
+          sequential.ApplyUpdate(u, source);
+        }
       });
   const core::Clustering reference = sequential.ToClustering();
   ASSERT_GT(reference.cluster_count(), 0u);
   ASSERT_GT(sequential.stats().reassignments, 0u);
+  // The sequential clusterer's trie is built independently of the engine.
+  const bgp::PrefixTable::Flat reference_flat =
+      sequential.table().CompileFlat();
 
   for (const int shards : {1, 2, 8}) {
     EngineConfig config;
@@ -143,16 +178,42 @@ TEST(Engine, SnapshotBitIdenticalToSequentialReplay) {
     Engine engine(config);
     const int engine_source = engine.SeedSnapshot(seed);
     engine.Start();
+    // Every write entry point in rotation; all of them must end in the
+    // same absorb-and-publish path.
+    std::size_t tick = 0;
     ReplayScript(
         requests, updates,
         [&](const weblog::CompactRequest& r) {
           engine.Observe(r.client, r.url_id, r.response_bytes, r.timestamp);
         },
-        [&](const bgp::UpdateMessage& u) {
-          engine.ApplyUpdate(u, engine_source);
+        [&](std::span<const bgp::UpdateMessage> burst) {
+          switch (tick++ % 3) {
+            case 0:
+              engine.ApplyUpdateBatch(burst, engine_source);
+              break;
+            case 1:
+              for (const bgp::UpdateMessage& u : burst) {
+                engine.ApplyUpdate(u, engine_source);
+              }
+              break;
+            default:
+              for (const bgp::UpdateMessage& u : burst) {
+                for (const Prefix& prefix : u.withdrawn) {
+                  engine.Withdraw(prefix);
+                }
+                for (const Prefix& prefix : u.announced) {
+                  engine.Announce(prefix, engine_source,
+                                  u.as_path.empty() ? 0 : u.as_path.back());
+                }
+              }
+          }
         });
     const core::Clustering live = engine.Snapshot();
     engine.Stop();
+    EXPECT_TRUE(engine.AcquireTable().flat().ResolvesIdentically(
+        reference_flat))
+        << "engine with " << shards
+        << " shard(s) published a directory unlike the sequential table";
 
     EXPECT_EQ(live.client_count(), reference.client_count()) << shards;
     EXPECT_EQ(live.cluster_count(), reference.cluster_count()) << shards;
@@ -187,7 +248,9 @@ TEST(Engine, ChurnUnderLoadStaysConsistent) {
       [&](const weblog::CompactRequest& r) {
         engine.Observe(r.client, r.url_id, r.response_bytes, r.timestamp);
       },
-      [&](const bgp::UpdateMessage& u) { engine.ApplyUpdate(u, source); });
+      [&](std::span<const bgp::UpdateMessage> burst) {
+        engine.ApplyUpdateBatch(burst, source);
+      });
   const core::Clustering live = engine.Snapshot();
   engine.Stop();
 
@@ -267,6 +330,34 @@ TEST(Engine, ZeroRingCapacityFallsBackToDefault) {
   EXPECT_EQ(engine.metrics().requests_processed.value(), default_capacity);
 }
 
+// An idle shard worker parks on its empty ring, so an engine with nothing
+// to do costs (almost) no CPU.
+TEST(Engine, IdleShardWorkersSleep) {
+  const auto cpu_ms = [] {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    const auto ms = [](const timeval& t) {
+      return static_cast<double>(t.tv_sec) * 1e3 +
+             static_cast<double>(t.tv_usec) / 1e3;
+    };
+    return ms(usage.ru_utime) + ms(usage.ru_stime);
+  };
+  EngineConfig config;
+  config.shards = 2;
+  Engine engine(config);
+  engine.Start();
+  const double before = cpu_ms();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const double used = cpu_ms() - before;
+  // Two spinning workers would burn about 2 x 300 ms here.
+  EXPECT_LT(used, 50.0) << "idle shard workers burned " << used << " ms CPU";
+
+  // Parked workers still wake for work, and Stop() wakes them to exit.
+  engine.Observe(IpAddress(10, 0, 0, 1), 1, 10, 0);
+  EXPECT_EQ(engine.Snapshot().total_requests, 1u);
+  engine.Stop();
+}
+
 TEST(Engine, ShardAssignmentSpreadsHashCollidingClients) {
   // Pre-finalizer ShardOf reduced the raw std::hash value with
   // (hash >> 33) % shards, so clients colliding in those bits all landed on
@@ -335,7 +426,7 @@ TEST(Engine, ConcurrentLookupVsIngestIsRaceFree) {
         ASSERT_GE(match->prefix.length(), 8);
         if ((served & 0xFF) == 0) {
           const bgp::TableHandle table = engine.AcquireTable();
-          ASSERT_GE(table->size(), 1u);
+          ASSERT_GE(table.flat().size(), 1u);
         }
         ++served;
         lookups.fetch_add(1, std::memory_order_relaxed);

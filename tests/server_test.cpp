@@ -20,18 +20,24 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bgp/mrt.h"
 #include "bgp/update.h"
 #include "engine/engine.h"
 #include "loadgen.h"
@@ -123,6 +129,49 @@ TEST_F(ServerTest, WireLookupsAreBitIdenticalToDirectEngineLookups) {
       client.Ping({0xDE, 0xAD, 0xBE, 0xEF});
   ASSERT_TRUE(pong.ok()) << pong.error();
   EXPECT_EQ(pong.value(), (std::vector<std::uint8_t>{0xDE, 0xAD, 0xBE, 0xEF}));
+}
+
+// The live feed streams: a record is published as soon as it arrives, not
+// when the file ends. A FIFO whose writer stays open stands in for a
+// collector's tail that never reaches end of file.
+TEST_F(ServerTest, LiveFeedPublishesBeforeEndOfFile) {
+  const std::string fifo = ::testing::TempDir() + "netclust_live_feed.fifo";
+  ::unlink(fifo.c_str());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0) << std::strerror(errno);
+  // O_RDWR opens a FIFO without waiting for a reader (Linux), and keeps a
+  // writer attached while the feeder opens its end.
+  const int writer = ::open(fifo.c_str(), O_RDWR | O_CLOEXEC);
+  ASSERT_GE(writer, 0) << std::strerror(errno);
+
+  ServerConfig config;
+  config.live_bgp4mp_path = fifo;
+  config.live_source_id = live_source_;
+  config.live_batch_size = 1;
+  Client client = ConnectOrDie(Serve(config));
+
+  bgp::UpdateMessage announce;
+  announce.announced = {P("192.0.2.0/24")};
+  announce.as_path = {64500};
+  const std::vector<std::uint8_t> record = bgp::WriteBgp4mpUpdate(
+      announce, 100, 64500, IpAddress(10, 0, 0, 2), false);
+  EXPECT_EQ(RetryWrite(writer, record.data(), record.size()),
+            static_cast<ssize_t>(record.size()));
+
+  const IpAddress probe(192, 0, 2, 1);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  bool answered = false;
+  while (!answered && std::chrono::steady_clock::now() < deadline) {
+    const Result<LookupRecord> wire = client.Lookup(probe);
+    ASSERT_TRUE(wire.ok()) << wire.error();
+    answered = wire.value().found && wire.value().prefix == P("192.0.2.0/24");
+    if (!answered) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(answered) << "the live feed held the record until end of file";
+
+  CloseFd(writer);  // end of file: lets a slurping feeder finish, too
+  server_->Stop();
+  ::unlink(fifo.c_str());
 }
 
 TEST_F(ServerTest, AckedIngestIsVisibleToSubsequentLookups) {

@@ -399,7 +399,7 @@ TEST(FlatChurn, ConcurrentLookupBatchSurvivesDeltaPublishes) {
   ASSERT_TRUE(master.Insert(covering, source, 65000));
   {
     const std::vector<Prefix> seeded = {covering};
-    slot.Publish(master, seeded);
+    slot.Publish(master.CompileFlatDelta(slot.Acquire().flat(), seeded));
   }
 
   // One churning /24 in each of 16 distinct /16 root slots.
@@ -449,7 +449,7 @@ TEST(FlatChurn, ConcurrentLookupBatchSurvivesDeltaPublishes) {
           flip, source, 64512 + static_cast<bgp::AsNumber>(round % 7)));
     }
     const std::vector<Prefix> changed = {flip};
-    slot.Publish(master, changed);
+    slot.Publish(master.CompileFlatDelta(slot.Acquire().flat(), changed));
   }
   stop.store(true);
   for (std::thread& reader : readers) reader.join();

@@ -309,8 +309,8 @@ int main(int argc, char** argv) {
   std::fprintf(stderr,
                "netclustd: listening on 127.0.0.1:%u (%zu seeded entries, "
                "table %zu prefixes, %d sources)\n",
-               port.value(), seeded_prefixes, engine.AcquireTable()->size(),
-               sources);
+               port.value(), seeded_prefixes,
+               engine.AcquireTable().flat().size(), sources);
 
   // Block until a termination signal lands (EINTR-safe).
   char byte = 0;
